@@ -154,11 +154,12 @@ def distributed(dataset, algo, nodes, budget, ladder, k, z, scheme, n0, seed, ou
     pointset = _load(dataset, weight_column, label_column, normalize)
     spec = ShardSpec(scheme=scheme, n=nodes, n0=n0, seed=seed)
     shards = partition_dataset(pointset, spec)
+    if z is None:
+        z = 1 if algo == "drcc" else 2
     if algo == "drcc":
-        coreset, trace = drcc(shards, budget, K=ladder, z=2 if z == 2 else 1, seed=seed)
+        coreset, trace = drcc(shards, budget, K=ladder, z=z, seed=seed)
     else:
-        coreset, trace = drcc(shards, budget, K=k, z=1 if z == 1 else 2,
-                              seed=seed, k_fixed=k)
+        coreset, trace = drcc(shards, budget, K=k, z=z, seed=seed, k_fixed=k)
     coreset.save(out)
     trace_path = f"{out}.trace.json"
     with open(trace_path, "w") as fh:
@@ -218,17 +219,15 @@ def evaluate(dataset, coreset, problem, k, l, positive_label, seed, out,
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False),
               help="Directory for runs.csv, summary.json, cdf.csv, timings.csv.")
-@click.option("--workers", type=int, default=None,
-              help="Thread count (also via COReset_WORKERS; outputs unaffected).")
 @_handle_errors
-def benchmark(config, out, workers):
+def benchmark(config, out):
     """Run the evaluation sweep described by a JSON CONFIG file."""
     with open(config) as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}")
-    records, _summary = run_benchmark(cfg, out_dir=out, workers=workers)
+    records, _summary = run_benchmark(cfg, out_dir=out)
     failed = sum(1 for r in records if r.error is not None)
     click.echo(f"{len(records)} records ({failed} failed) -> {out}")
     if failed:

@@ -31,7 +31,7 @@ from .clustering import (
     extend_to_doubled,
     k_clustering_doubled,
 )
-from .data import WeightedPointSet
+from .data import WeightedPointSet, load_points_and_weights, save_pointset
 from .errors import ThresholdNotReachedError, ValidationError
 
 
@@ -131,13 +131,7 @@ class Coreset:
     def save(self, prefix: str) -> tuple[str, str]:
         """Write ``<prefix>.csv`` (points + weights) and ``<prefix>.json`` (metadata)."""
         csv_path, json_path = prefix + ".csv", prefix + ".json"
-        header = ",".join([f"x{j}" for j in range(self.dim)] + ["weight"])
-        rows = [
-            ",".join([repr(float(v)) for v in p] + [repr(float(w))])
-            for p, w in zip(self.points, self.weights)
-        ]
-        with open(csv_path, "w") as fh:
-            fh.write(header + "\n" + "\n".join(rows) + "\n")
+        save_pointset(self, csv_path)
         meta = {
             "provenance": self.provenance,
             "eps_bound": self.eps_bound,
@@ -157,9 +151,7 @@ def load_coreset(path: str) -> Coreset:
     csv_path, json_path = prefix + ".csv", prefix + ".json"
     if not os.path.exists(csv_path):
         raise ValidationError(f"coreset file {csv_path!r} does not exist")
-    raw = np.genfromtxt(csv_path, delimiter=",", skip_header=1, dtype=float)
-    raw = np.atleast_2d(raw)
-    points, weights = raw[:, :-1], raw[:, -1]
+    points, weights = load_points_and_weights(csv_path)
     provenance, eps_bound, certificate = {}, None, None
     if os.path.exists(json_path):
         with open(json_path) as fh:

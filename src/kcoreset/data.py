@@ -147,6 +147,29 @@ def _is_numeric_column(values: list[str]) -> bool:
     return True
 
 
+def _read_columns(path: str) -> tuple[list[str], dict[str, list[str]]]:
+    """Header and stripped cells per column of a CSV file; blank rows are skipped."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    if len(rows) < 2:
+        raise ValidationError(f"{path}: need a header row and at least one data row")
+    header = [h.strip() for h in rows[0]]
+    if len(set(header)) != len(header):
+        raise ValidationError(f"{path}: duplicate column names in header")
+    data_rows = rows[1:]
+    for i, row in enumerate(data_rows, start=2):
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}:{i}: row has {len(row)} cells, header has {len(header)}"
+            )
+    return header, {name: [row[j].strip() for row in data_rows] for j, name in enumerate(header)}
+
+
+def _parse_column(values: list[str], path: str, column: str) -> np.ndarray:
+    return np.array([_parse_float(v, path, i + 2, column) for i, v in enumerate(values)])
+
+
 def load_dataset(
     path: str,
     weight_column: str | None = DEFAULT_WEIGHT_COLUMN,
@@ -166,21 +189,7 @@ def load_dataset(
         WeightedPointSet with features in column order; if a label column is
         present it is encoded and appended as the last coordinate.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in rows[0]]
-    if len(set(header)) != len(header):
-        raise ValidationError(f"{path}: duplicate column names in header")
-    data_rows = rows[1:]
-    for i, row in enumerate(data_rows, start=2):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}:{i}: row has {len(row)} cells, header has {len(header)}"
-            )
-    columns = {name: [row[j].strip() for row in data_rows] for j, name in enumerate(header)}
+    header, columns = _read_columns(path)
 
     weight_name = None
     if weight_column is not None and weight_column in columns:
@@ -206,20 +215,13 @@ def load_dataset(
     if not feature_names:
         raise ValidationError(f"{path}: no feature columns found")
 
-    n = len(data_rows)
-    features = np.empty((n, len(feature_names)))
-    for j, name in enumerate(feature_names):
-        col = columns[name]
-        for i, v in enumerate(col):
-            features[i, j] = _parse_float(v, path, i + 2, name)
-
+    features = np.column_stack(
+        [_parse_column(columns[name], path, name) for name in feature_names]
+    )
     if weight_name is not None:
-        weights = np.array(
-            [_parse_float(v, path, i + 2, weight_name)
-             for i, v in enumerate(columns[weight_name])]
-        )
+        weights = _parse_column(columns[weight_name], path, weight_name)
     else:
-        weights = np.ones(n)
+        weights = np.ones(features.shape[0])
 
     if label_name is not None:
         encoding = encode_labels(columns[label_name], features.shape[1])
@@ -229,13 +231,31 @@ def load_dataset(
     return WeightedPointSet(features, weights)
 
 
-def save_pointset(pointset: WeightedPointSet, path: str) -> None:
-    """Write coordinates and weights as CSV columns x0..x{d-1},weight."""
+def save_pointset(pointset, path: str) -> None:
+    """Write coordinates and weights as CSV columns x0..x{d-1},weight.
+
+    Takes a WeightedPointSet or a Coreset: only the ``points`` and ``weights``
+    arrays are read, so negative residual weights are written as they are.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{j}" for j in range(pointset.dim)] + ["weight"])
         for p, w in zip(pointset.points, pointset.weights):
             writer.writerow([repr(float(v)) for v in p] + [repr(float(w))])
+
+
+def load_points_and_weights(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a file written by :func:`save_pointset` as (points, weights) arrays.
+
+    The last column holds the weights, which are not validated, so negative
+    residual weights load too.  A non-numeric cell raises ValidationError
+    naming ``path:line``.
+    """
+    header, columns = _read_columns(path)
+    if len(header) < 2:
+        raise ValidationError(f"{path}: need coordinate columns and a weight column")
+    values = [_parse_column(columns[name], path, name) for name in header]
+    return np.column_stack(values[:-1]), values[-1]
 
 
 def encode_labels(raw_labels, num_features: int) -> LabelEncoding:

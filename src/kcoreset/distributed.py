@@ -35,7 +35,6 @@ from .errors import ValidationError
 class LocalLadder:
     """A node's clustering runs for every candidate center count 1..K."""
 
-    node_id: int
     runs: list
     clamped: bool = False
 
@@ -67,7 +66,6 @@ class ServerConfig:
 class LocalCoreset:
     """A node's contribution: weighted samples plus residual-weighted centers."""
 
-    node_id: int
     sample_points: np.ndarray
     sample_weights: np.ndarray
     center_points: np.ndarray
@@ -149,7 +147,7 @@ def node_local_centers(
             if alt.cost < cand.cost:
                 cand = alt
         runs.append(cand)
-    return LocalLadder(node_id=-1, runs=runs, clamped=clamped)
+    return LocalLadder(runs=runs, clamped=clamped)
 
 
 def server_allocate(
@@ -266,7 +264,6 @@ def node_sample(
 
     center_weights = cell_weight - drained
     return LocalCoreset(
-        node_id=-1,
         sample_points=sample_points,
         sample_weights=sample_weights,
         center_points=centers.copy(),
@@ -311,7 +308,6 @@ def drcc(
         ladder = node_local_centers(
             shard, K, z=z, seed=int(ladder_seeds[j].generate_state(1)[0])
         )
-        ladder.node_id = j
         if ladder.clamped:
             trace.notes.append(f"node {j}: ladder clamped to shard size {shard.size}")
         ladders.append(ladder)
@@ -326,7 +322,7 @@ def drcc(
     for j in range(n):
         trace.record("server", f"node{j}", "allocation", scalars=3)
 
-    parts, points, weights = [], [], []
+    points, weights = [], []
     for j, shard in enumerate(shards):
         run = ladders[j].runs[config.k_alloc[j] - 1]
         local = node_sample(
@@ -337,8 +333,6 @@ def drcc(
             z=z,
             seed=int(sample_seeds[j].generate_state(1)[0]),
         )
-        local.node_id = j
-        parts.append(local)
         # only exact-zero residuals drop out (e.g. a center whose cell is empty)
         keep = local.center_weights != 0
         pts = np.vstack([local.sample_points, local.center_points[keep]])

@@ -10,8 +10,9 @@ Two metrics, both computed per (dataset, coreset, problem) triple:
     it was optimized against.
 
 ``run_benchmark`` sweeps dataset x algorithm x size x problem cells for R
-seeded runs each and writes runs.csv / summary.json / cdf.csv (plus wall
-times in timings.csv, kept separate so result files are bit-reproducible).
+seeded runs each, serially and through ``evaluate_coreset`` alone, and
+writes runs.csv / summary.json / cdf.csv (plus wall times in timings.csv,
+kept separate so result files are bit-reproducible).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,11 +40,16 @@ from .data import (
     with_svm_labels,
 )
 from .distributed import cdcc, drcc
-from .errors import KcoresetError, ValidationError
+from .errors import ValidationError
 from .problems import MLProblem, make_problem, problem_cost, solve_problem, svm_accuracy
 
-WORKERS_ENV_VAR = "COReset_WORKERS"
 CDF_GRID_POINTS = 200
+
+# the outcome fields of a cell's record, as a failed cell fills them
+_FAILED_FIELDS = {
+    "metric": "error", "value": math.nan, "relative_error": math.nan,
+    "coreset_points": 0, "clamped": False, "eps_bound": None,
+}
 
 
 @dataclass
@@ -92,13 +97,16 @@ def evaluate_coreset(
     seed: int = 0,
     full_model=None,
     full_cost: float | None = None,
+    held_out: WeightedPointSet | None = None,
 ) -> dict:
     """Train on the coreset, score against the full dataset.
 
-    Negative coreset weights (distributed residuals) are clamped for the
-    solver but kept as-is when reading the coreset's own cost estimate.
-    Returns a dict with the headline metric, the relative estimation error,
-    and bookkeeping flags.
+    svm accuracy is measured on ``held_out`` (by default the scored dataset
+    itself); every other cost is measured on ``pointset``.  Negative coreset
+    weights (distributed residuals) are clamped for the solver but kept
+    as-is when reading the coreset's own cost estimate.  Returns a dict with
+    the headline metric, the relative estimation error, and bookkeeping
+    flags.
     """
     usable, clamped = coreset.nonnegative_pointset()
     model = solve_problem(problem, usable, seed=seed)
@@ -107,7 +115,7 @@ def evaluate_coreset(
     rel_error = abs(cost_full - cost_core) / cost_full if cost_full > 0 else math.inf
 
     if problem.name == "svm":
-        value = svm_accuracy(pointset, model)
+        value = svm_accuracy(pointset if held_out is None else held_out, model)
         metric = "accuracy"
     else:
         if full_model is None or full_cost is None:
@@ -244,24 +252,14 @@ def construct_coreset(
     raise ValidationError(f"unknown algorithm kind {kind!r}")
 
 
-def _worker_count(explicit: int | None, config: dict) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}")
-    return max(1, int(config.get("workers", 1)))
-
-
-def run_benchmark(config: dict, out_dir: str | None = None, workers: int | None = None):
+def run_benchmark(config: dict, out_dir: str | None = None):
     """Sweep dataset x algorithm x size x problem cells for R runs each.
 
-    Worker count (from the ``workers`` argument, the COReset_WORKERS
-    environment variable, or the config) only parallelizes execution; the
-    records and output files are identical for any value.
+    Tasks run one after another.  Every cell is one :func:`evaluate_coreset`
+    call on inputs chosen by its problem: svm cells relabel the dataset,
+    split it into train and test parts and build their coreset on the train
+    part; all other cells of a task share one coreset of the whole dataset.
+    Any exception raised in a cell fails that cell's record only.
 
     Returns (records, summary); when out_dir is given also writes runs.csv,
     summary.json, cdf.csv and timings.csv there.
@@ -298,80 +296,54 @@ def run_benchmark(config: dict, out_dir: str | None = None, workers: int | None 
             full_cache[key] = (model, problem_cost(problem, pointset, model))
         return full_cache[key]
 
-    tasks = []
-    for di, (ds_name, pointset) in enumerate(datasets):
-        for ai, algorithm in enumerate(config["algorithms"]):
-            algo_name = algorithm.get("name", algorithm.get("kind", f"algo{ai}"))
-            for si, size in enumerate(sizes):
-                for run in range(runs):
-                    tasks.append((di, ds_name, pointset, ai, algorithm, algo_name, si, size, run))
-
-    def run_task(task):
-        di, ds_name, pointset, ai, algorithm, algo_name, si, size, run = task
+    def run_task(di, ds_name, pointset, ai, algorithm, si, size, run):
+        algo_name = algorithm.get("name", algorithm.get("kind", f"algo{ai}"))
         seed = _derived_seed(master_seed, (di, ai, si, run))
         records = []
         started = time.perf_counter()
-        svm_problems = [p for p in problems if p[1].name == "svm"]
-        plain_problems = [p for p in problems if p[1].name != "svm"]
-        coreset = None
-        build_error = None
-        if plain_problems:
+        shared = None  # coreset of the whole dataset, or the error building it raised
+        if any(problem.name != "svm" for _, problem, _ in problems):
             try:
-                coreset = construct_coreset(algorithm, pointset, size, seed)
-            except KcoresetError as exc:
-                build_error = f"{type(exc).__name__}: {exc}"
+                shared = construct_coreset(algorithm, pointset, size, seed)
+            except Exception as exc:
+                shared = exc
         for pi, (p_name, problem, entry) in enumerate(problems):
-            label = p_name or problem.name
-            if problem.name == "svm":
-                record = _run_svm_cell(
-                    ds_name, pointset, algorithm, algo_name, size, run, seed,
-                    problem, entry, label,
-                )
-            elif build_error is not None:
-                record = _failed_record(
-                    ds_name, algo_name, label, size, run, seed, build_error
-                )
-            else:
-                try:
+            try:
+                if problem.name == "svm":
+                    scored, held_out = _svm_train_test(pointset, problem, entry)
+                    coreset = construct_coreset(algorithm, scored, size, seed)
+                    full_model = full_cost = None  # accuracy needs no full-data model
+                elif isinstance(shared, Exception):
+                    raise shared
+                else:
+                    scored, held_out, coreset = pointset, None, shared
                     full_model, full_cost = full_solution(ds_name, pointset, problem, di, pi)
-                    outcome = evaluate_coreset(
-                        pointset, coreset, problem,
-                        seed=_derived_seed(master_seed, (di, ai, si, run, pi)),
-                        full_model=full_model, full_cost=full_cost,
-                    )
-                    record = EvalRecord(
-                        dataset=ds_name, algorithm=algo_name, problem=label,
-                        size=_size_label(size), run=run, seed=seed,
-                        metric=outcome["metric"], value=outcome["value"],
-                        relative_error=outcome["relative_error"],
-                        coreset_points=outcome["coreset_points"],
-                        clamped=outcome["clamped"],
-                        eps_bound=outcome["eps_bound"], error=None, wall_time=0.0,
-                    )
-                except KcoresetError as exc:
-                    record = _failed_record(
-                        ds_name, algo_name, label, size, run, seed,
-                        f"{type(exc).__name__}: {exc}",
-                    )
-            records.append(record)
+                outcome = evaluate_coreset(
+                    scored, coreset, problem,
+                    seed=_derived_seed(master_seed, (di, ai, si, run, pi)),
+                    full_model=full_model, full_cost=full_cost, held_out=held_out,
+                )
+                fields = {name: outcome[name] for name in _FAILED_FIELDS}
+                fields["error"] = None
+            except Exception as exc:
+                fields = dict(_FAILED_FIELDS, error=f"{type(exc).__name__}: {exc}")
+            records.append(EvalRecord(
+                dataset=ds_name, algorithm=algo_name, problem=p_name or problem.name,
+                size=_size_label(size), run=run, seed=seed, wall_time=0.0, **fields,
+            ))
         total = time.perf_counter() - started
         for record in records:
             record.wall_time = total / max(len(records), 1)
         return records
 
-    # full solutions are computed up-front so worker threads only read the cache
-    for di, (ds_name, pointset) in enumerate(datasets):
-        for pi, (_, problem, _entry) in enumerate(problems):
-            if problem.name != "svm":
-                full_solution(ds_name, pointset, problem, di, pi)
-
-    count = _worker_count(workers, config)
-    if count == 1:
-        nested = [run_task(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            nested = list(pool.map(run_task, tasks))
-    records = [record for group in nested for record in group]
+    records = [
+        record
+        for di, (ds_name, pointset) in enumerate(datasets)
+        for ai, algorithm in enumerate(config["algorithms"])
+        for si, size in enumerate(sizes)
+        for run in range(runs)
+        for record in run_task(di, ds_name, pointset, ai, algorithm, si, size, run)
+    ]
     records.sort(key=lambda r: (r.dataset, r.algorithm, r.problem, str(r.size), r.run))
 
     summary = _summarize(records)
@@ -389,42 +361,13 @@ def _size_label(size) -> str:
     return "auto" if size is None else str(size)
 
 
-def _failed_record(ds, algo, problem, size, run, seed, message) -> EvalRecord:
-    return EvalRecord(
-        dataset=ds, algorithm=algo, problem=problem, size=_size_label(size),
-        run=run, seed=seed, metric="error", value=math.nan,
-        relative_error=math.nan, coreset_points=0, clamped=False,
-        eps_bound=None, error=message, wall_time=0.0,
-    )
-
-
-def _run_svm_cell(
-    ds_name, pointset, algorithm, algo_name, size, run, seed, problem, entry, label
-) -> EvalRecord:
+def _svm_train_test(pointset, problem, entry):
+    """Relabel a dataset for svm and split it into train and test parts."""
     positive = entry.get("positive_label") or problem.params.get("positive_label")
-    try:
-        if positive is None:
-            raise ValidationError("svm problem entries need 'positive_label'")
-        relabeled = with_svm_labels(pointset, positive)
-        train, test = split_train_test(relabeled, entry.get("train_fraction", 0.8))
-        coreset = construct_coreset(algorithm, train, size, seed)
-        usable, clamped = coreset.nonnegative_pointset()
-        model = solve_problem(problem, usable, seed=seed)
-        cost_train = problem_cost(problem, train, model)
-        cost_core = problem_cost(problem, coreset, model)
-        rel = abs(cost_train - cost_core) / cost_train if cost_train > 0 else math.inf
-        return EvalRecord(
-            dataset=ds_name, algorithm=algo_name, problem=label,
-            size=_size_label(size), run=run, seed=seed, metric="accuracy",
-            value=svm_accuracy(test, model),
-            relative_error=float(rel),
-            coreset_points=coreset.size, clamped=clamped,
-            eps_bound=None, error=None, wall_time=0.0,
-        )
-    except KcoresetError as exc:
-        return _failed_record(
-            ds_name, algo_name, label, size, run, seed, f"{type(exc).__name__}: {exc}"
-        )
+    if positive is None:
+        raise ValidationError("svm problem entries need 'positive_label'")
+    relabeled = with_svm_labels(pointset, positive)
+    return split_train_test(relabeled, entry.get("train_fraction", 0.8))
 
 
 def _summarize(records: list) -> dict:

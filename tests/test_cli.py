@@ -125,6 +125,11 @@ class TestDistributed:
         assert trace["overhead_scalars"] == payload["overhead_scalars"]
         ladders = [m for m in trace["messages"] if m["kind"] == "cost_ladder"]
         assert len(ladders) == 3
+        # --z omitted: drcc defaults to z=1, cdcc to z=2
+        with open(out + ".json") as fh:
+            provenance = json.load(fh)["provenance"]
+        assert provenance["algorithm"] == algo
+        assert provenance["z"] == {"drcc": 1, "cdcc": 2}[algo]
 
     def test_budget_below_node_count_is_usage_error(self, runner, dataset_csv, tmp_path):
         result = runner.invoke(main, [

@@ -269,6 +269,20 @@ class TestPersistence:
         assert back.certificate is None
         assert np.array_equal(back.weights, [3.0, 6.0])
 
+    def test_negative_weight_round_trip(self, tmp_path):
+        coreset = Coreset(np.eye(3), np.array([4.0, -1.5, 2.0]), {"algorithm": "drcc"})
+        prefix = str(tmp_path / "residual")
+        coreset.save(prefix)
+        back = load_coreset(prefix)
+        assert np.array_equal(back.points, coreset.points)
+        assert np.array_equal(back.weights, coreset.weights)
+
+    def test_malformed_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,x1,weight\n1.0,2.0,3.0\nabc,5.0,\n")
+        with pytest.raises(ValidationError, match=r"bad\.csv:3"):
+            load_coreset(str(path))
+
 
 class TestNegativeWeights:
     def test_all_positive_is_a_no_op(self):

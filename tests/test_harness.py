@@ -19,7 +19,7 @@ from kcoreset import (
     synthetic_blobs,
     synthetic_uniform,
 )
-from kcoreset.harness import WORKERS_ENV_VAR, construct_coreset
+from kcoreset.harness import construct_coreset
 
 
 def tiny_config(runs=2, algorithms=None, problems=None, **extra):
@@ -40,6 +40,22 @@ def tiny_config(runs=2, algorithms=None, problems=None, **extra):
     }
     config.update(extra)
     return config
+
+
+def assert_failure_isolated(bad, good, sizes, error):
+    """Only the ``bad`` algorithm's records fail, each with ``error``; sizes=None drops the key."""
+    config = tiny_config(algorithms=[dict(bad, name="bad"), dict(good, name="good")])
+    if sizes is None:
+        del config["sizes"]
+    records, summary = run_benchmark(config)
+    failed = [r for r in records if r.error is not None]
+    fine = [r for r in records if r.error is None]
+    assert failed and fine
+    assert all(r.algorithm == "bad" for r in failed)
+    assert all(r.algorithm == "good" for r in fine)
+    assert all(r.error.startswith(error) for r in failed)
+    size = "auto" if sizes is None else "8"
+    assert summary["blob"]["bad"]["meb"][size]["failed"] == 2
 
 
 class TestEvaluateCoreset:
@@ -81,6 +97,22 @@ class TestEvaluateCoreset:
             ps, coreset, problem, seed=0, full_model=model, full_cost=full_cost
         )
         assert out["value"] == pytest.approx(out["cost_full"] / full_cost)
+
+    def test_svm_accuracy_scored_on_held_out_set(self):
+        from kcoreset import solve_problem, split_train_test, svm_accuracy, with_svm_labels
+
+        train, test = split_train_test(
+            with_svm_labels(synthetic_blobs(80, 4, 3, seed=2), "class0")
+        )
+        coreset = rcc_fixed_size(train, 10, seed=0)
+        problem = make_problem("svm", positive_label="class0")
+        model = solve_problem(problem, coreset.to_pointset(), seed=0)
+        held = evaluate_coreset(train, coreset, problem, seed=0, held_out=test)
+        scored = evaluate_coreset(train, coreset, problem, seed=0)
+        assert held["metric"] == scored["metric"] == "accuracy"
+        assert held["value"] == svm_accuracy(test, model)
+        assert scored["value"] == svm_accuracy(train, model)
+        assert held["relative_error"] == scored["relative_error"]
 
 
 class TestQuantileGrid:
@@ -151,23 +183,19 @@ class TestRunBenchmark:
                 second = fh.read()
             assert first == second, name
 
-    def test_worker_count_does_not_change_records(self):
-        serial, _ = run_benchmark(tiny_config())
-        threaded, _ = run_benchmark(tiny_config(), workers=4)
-        assert [r.to_row() for r in serial] == [r.to_row() for r in threaded]
-
     def test_failures_isolated_per_cell(self):
-        config = tiny_config(algorithms=[
-            {"name": "impossible", "kind": "rcc", "eps": 1e-9},
-            {"name": "uniform", "kind": "uniform"},
-        ])
-        records, summary = run_benchmark(config)
-        failed = [r for r in records if r.error is not None]
-        fine = [r for r in records if r.error is None]
-        assert failed and fine
-        assert all(r.algorithm == "impossible" for r in failed)
-        assert all("ThresholdNotReachedError" in r.error for r in failed)
-        assert summary["blob"]["impossible"]["meb"]["8"]["failed"] == 2
+        assert_failure_isolated(
+            {"kind": "rcc", "eps": 1e-9}, {"kind": "uniform"}, [8],
+            "ThresholdNotReachedError",
+        )
+
+    @pytest.mark.parametrize("bad, good, sizes, error", [
+        ({"kind": "rcc_fixed"}, {"kind": "rcc", "eps": 2.0}, None, "TypeError"),
+        ({"kind": "rcc"}, {"kind": "uniform"}, [8], "KeyError: 'eps'"),
+        ({"kind": "drcc"}, {"kind": "uniform"}, [8], "KeyError: 'nodes'"),
+    ], ids=["rcc_fixed-without-sizes", "rcc-without-eps", "drcc-without-nodes"])
+    def test_failures_isolated_per_cell_for_any_exception(self, bad, good, sizes, error):
+        assert_failure_isolated(bad, good, sizes, error)
 
     def test_svm_cells_report_accuracy(self):
         config = tiny_config(
@@ -193,14 +221,6 @@ class TestRunBenchmark:
         bad["datasets"] = [{"name": "x", "synthetic": {"kind": "spiral"}}]
         with pytest.raises(ValidationError):
             run_benchmark(bad)
-
-    def test_env_var_worker_override_validated(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "banana")
-        with pytest.raises(ValidationError):
-            run_benchmark(tiny_config(runs=1))
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        records, _ = run_benchmark(tiny_config(runs=1))
-        assert records
 
     def test_file_dataset_entries_load(self, tmp_path):
         from kcoreset import save_pointset
