@@ -27,12 +27,12 @@ from .data import (
 from .clustering import (
     ClusteringResult,
     DoubledRun,
+    add_costliest_point,
     assign_to_centers,
     brute_force_optimal,
     clustering_cost,
     k_clustering,
     k_clustering_doubled,
-    lloyd_from,
     one_mean,
     one_median,
     weighted_geometric_median,
@@ -93,12 +93,12 @@ __all__ = [
     "with_svm_labels",
     "ClusteringResult",
     "DoubledRun",
+    "add_costliest_point",
     "assign_to_centers",
     "brute_force_optimal",
     "clustering_cost",
     "k_clustering",
     "k_clustering_doubled",
-    "lloyd_from",
     "one_mean",
     "one_median",
     "weighted_geometric_median",

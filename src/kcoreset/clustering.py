@@ -25,8 +25,10 @@ from scipy.spatial.distance import cdist
 from .data import WeightedPointSet
 from .errors import ValidationError
 
-DEFAULT_MAX_ITER = 300
+LLOYD_MAX_ITER = 300
 DEFAULT_MEDIAN_TOL = 1e-8
+WEISZFELD_MAX_ITER = 5000
+BRUTE_FORCE_MEDIAN_TOL = 1e-11
 
 
 def _validate_z(z: int) -> None:
@@ -59,7 +61,6 @@ def weighted_geometric_median(
     points: np.ndarray,
     weights: np.ndarray,
     tol: float = DEFAULT_MEDIAN_TOL,
-    max_iter: int = 5000,
     init: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weighted geometric median by damped Weiszfeld iteration.
@@ -75,7 +76,7 @@ def weighted_geometric_median(
         return points[0].copy()
     y = np.average(points, axis=0, weights=weights) if init is None else np.array(init, dtype=float)
     scale = 1.0 + float(np.abs(points).max())
-    for _ in range(max_iter):
+    for _ in range(WEISZFELD_MAX_ITER):
         diff = points - y
         dist = np.linalg.norm(diff, axis=1)
         near = dist <= 1e-14 * scale
@@ -139,7 +140,6 @@ class ClusteringResult:
     iterations: int
     converged: bool
     cost_history: list = field(default_factory=list)
-    seed: int | None = None
 
     @property
     def k(self) -> int:
@@ -148,33 +148,19 @@ class ClusteringResult:
     def cluster_indices(self, i: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == i)
 
-    def to_dict(self) -> dict:
-        return {
-            "k": int(self.k),
-            "z": int(self.z),
-            "cost": float(self.cost),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "seed": self.seed,
-            "centers": self.centers.tolist(),
-        }
 
-
-def _lloyd(points, weights, init_centers, z, max_iter=DEFAULT_MAX_ITER,
-           median_tol=DEFAULT_MEDIAN_TOL) -> ClusteringResult:
+def _lloyd(points, weights, init_centers, z) -> ClusteringResult:
     centers = np.atleast_2d(np.array(init_centers, dtype=float))
     k = centers.shape[0]
     history = [_cost_arrays(points, weights, centers, z)]
     assign = assign_to_centers(points, centers)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, LLOYD_MAX_ITER + 1):
         for i in range(k):
             idx = np.flatnonzero(assign == i)
             if idx.size:
-                centers[i], _ = _one_center(
-                    points[idx], weights[idx], z, median_tol, init=centers[i]
-                )
+                centers[i], _ = _one_center(points[idx], weights[idx], z, init=centers[i])
         cost_now = _cost_arrays(points, weights, centers, z)
         empties = np.setdiff1d(np.arange(k), assign)
         for i in empties:
@@ -219,36 +205,54 @@ def _trivial_result(points, weights, centers, z) -> ClusteringResult:
     )
 
 
-def _two_cluster(points, weights, z, max_iter, median_tol) -> ClusteringResult:
-    """2-clustering seeded with {1-center, most expensive point}."""
-    center, _ = _one_center(points, weights, z, median_tol)
-    d = np.linalg.norm(points - center, axis=1)
-    scores = weights * d**z
+def _single_center(points, weights, z) -> ClusteringResult:
+    center, cost = _one_center(points, weights, z)
+    return ClusteringResult(
+        centers=center[None, :], assignment=np.zeros(points.shape[0], dtype=np.int64),
+        cost=cost, z=z, iterations=0, converged=True, cost_history=[cost],
+    )
+
+
+def _add_costliest(points, weights, run: ClusteringResult) -> ClusteringResult:
+    # array form of add_costliest_point: the split recursion calls it per
+    # cluster without building a validated point set for each one
+    d = np.linalg.norm(points - run.centers[run.assignment], axis=1)
+    scores = weights * d**run.z
     j = int(np.argmax(scores))
     if scores[j] <= 0:
-        return _trivial_result(points, weights, np.vstack([center, center]), z)
-    return _lloyd(points, weights, np.vstack([center, points[j]]), z, max_iter, median_tol)
+        return _trivial_result(points, weights, np.vstack([run.centers, run.centers[0]]), run.z)
+    return _lloyd(points, weights, np.vstack([run.centers, points[j]]), run.z)
 
 
-def _solve(points, weights, k, z, rng, max_iter, median_tol) -> ClusteringResult:
+def add_costliest_point(pointset: WeightedPointSet, run: ClusteringResult) -> ClusteringResult:
+    """Lloyd iteration from ``run``'s centers plus its most expensive point.
+
+    The added point maximizes w_p * ||p - assigned center||^z.  When every
+    point already sits on its center, the result is the zero-cost run with
+    ``run.centers[0]`` duplicated and no iterations.
+    """
+    return _add_costliest(pointset.points, pointset.weights, run)
+
+
+def _solve(points, weights, k, z, rng) -> ClusteringResult:
     n = points.shape[0]
     if k >= n:
         return _trivial_result(points, weights, points.copy(), z)
     if k == 1:
-        center, cost = _one_center(points, weights, z, median_tol)
-        return ClusteringResult(
-            centers=center[None, :], assignment=np.zeros(n, dtype=np.int64),
-            cost=cost, z=z, iterations=0, converged=True, cost_history=[cost],
-        )
-    base = _solve(points, weights, k // 2, z, rng, max_iter, median_tol)
-    init = _split_init(points, weights, base, z, max_iter, median_tol)[0]
+        return _single_center(points, weights, z)
+    base = _solve(points, weights, k // 2, z, rng)
+    init = _split_init(points, weights, base)[0]
     if k % 2 == 1:
         init = np.vstack([init, points[rng.integers(n)]])
-    return _lloyd(points, weights, init, z, max_iter, median_tol)
+    return _lloyd(points, weights, init, z)
 
 
-def _split_init(points, weights, base: ClusteringResult, z, max_iter, median_tol):
-    """2-center solutions of every cluster of ``base``; returns (centers, costs)."""
+def _split_init(points, weights, base: ClusteringResult):
+    """2-center solutions of every cluster of ``base``; returns (centers, costs).
+
+    Each cluster's 2-center run is seeded with {its 1-center, its most
+    expensive point}.
+    """
     init, split_costs = [], []
     for i in range(base.k):
         idx = base.cluster_indices(i)
@@ -256,19 +260,15 @@ def _split_init(points, weights, base: ClusteringResult, z, max_iter, median_tol
             init.append(np.vstack([base.centers[i], base.centers[i]]))
             split_costs.append(0.0)
             continue
-        sub = _two_cluster(points[idx], weights[idx], z, max_iter, median_tol)
+        pts, wts = points[idx], weights[idx]
+        sub = _add_costliest(pts, wts, _single_center(pts, wts, base.z))
         init.append(sub.centers)
         split_costs.append(sub.cost)
     return np.vstack(init), np.array(split_costs)
 
 
 def k_clustering(
-    pointset: WeightedPointSet,
-    k: int,
-    z: int = 2,
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-    median_tol: float = DEFAULT_MEDIAN_TOL,
+    pointset: WeightedPointSet, k: int, z: int = 2, seed: int = 0
 ) -> ClusteringResult:
     """Cluster a weighted point set around k centers.
 
@@ -288,24 +288,7 @@ def k_clustering(
     if not 1 <= k <= pointset.size:
         raise ValidationError(f"k must be in [1, {pointset.size}], got {k}")
     rng = np.random.default_rng(seed)
-    result = _solve(pointset.points, pointset.weights, k, z, rng, max_iter, median_tol)
-    result.seed = seed
-    return result
-
-
-def lloyd_from(
-    pointset: WeightedPointSet,
-    init_centers: np.ndarray,
-    z: int = 2,
-    max_iter: int = DEFAULT_MAX_ITER,
-    median_tol: float = DEFAULT_MEDIAN_TOL,
-) -> ClusteringResult:
-    """Run Lloyd iteration from explicit initial centers."""
-    _validate_z(z)
-    init = np.atleast_2d(np.asarray(init_centers, dtype=float))
-    if init.shape[1] != pointset.dim:
-        raise ValidationError("initial centers do not match point dimension")
-    return _lloyd(pointset.points, pointset.weights, init, z, max_iter, median_tol)
+    return _solve(pointset.points, pointset.weights, k, z, rng)
 
 
 @dataclass
@@ -325,29 +308,19 @@ class DoubledRun:
         return self.base.cost - self.doubled.cost
 
 
-def extend_to_doubled(
-    pointset: WeightedPointSet,
-    base: ClusteringResult,
-    max_iter: int = DEFAULT_MAX_ITER,
-    median_tol: float = DEFAULT_MEDIAN_TOL,
-) -> DoubledRun:
+def extend_to_doubled(pointset: WeightedPointSet, base: ClusteringResult) -> DoubledRun:
     """Continue a k-center run into the 2k-center run seeded from its clusters."""
     points, weights = pointset.points, pointset.weights
-    init, split_costs = _split_init(points, weights, base, base.z, max_iter, median_tol)
+    init, split_costs = _split_init(points, weights, base)
     if 2 * base.k >= pointset.size:
         doubled = _trivial_result(points, weights, points.copy(), base.z)
     else:
-        doubled = _lloyd(points, weights, init, base.z, max_iter, median_tol)
+        doubled = _lloyd(points, weights, init, base.z)
     return DoubledRun(base=base, doubled=doubled, split_costs=split_costs)
 
 
 def k_clustering_doubled(
-    pointset: WeightedPointSet,
-    k: int,
-    z: int = 2,
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
-    median_tol: float = DEFAULT_MEDIAN_TOL,
+    pointset: WeightedPointSet, k: int, z: int = 2, seed: int = 0
 ) -> DoubledRun:
     """Run k-clustering and the 2k-clustering seeded from its clusters.
 
@@ -355,13 +328,7 @@ def k_clustering_doubled(
     also exposing the intermediate k-center run and per-cluster 2-center
     costs needed by the size search and the error certificate.
     """
-    _validate_z(z)
-    if not 1 <= k <= pointset.size:
-        raise ValidationError(f"k must be in [1, {pointset.size}], got {k}")
-    rng = np.random.default_rng(seed)
-    base = _solve(pointset.points, pointset.weights, k, z, rng, max_iter, median_tol)
-    base.seed = seed
-    return extend_to_doubled(pointset, base, max_iter, median_tol)
+    return extend_to_doubled(pointset, k_clustering(pointset, k, z=z, seed=seed))
 
 
 @dataclass
@@ -379,9 +346,7 @@ class BruteForceResult:
     costs_by_size: np.ndarray
 
 
-def brute_force_optimal(
-    pointset: WeightedPointSet, k: int, z: int = 2, median_tol: float = 1e-11
-) -> BruteForceResult:
+def brute_force_optimal(pointset: WeightedPointSet, k: int, z: int = 2) -> BruteForceResult:
     """Exact optimal k-clustering by dynamic programming over subsets.
 
     Enumerates every partition of the points into at most k parts (the part
@@ -401,7 +366,7 @@ def brute_force_optimal(
     one_ctr = [None] * (full + 1)
     for mask in range(1, full + 1):
         idx = index_cache[mask]
-        center, cost = _one_center(points[idx], weights[idx], z, median_tol)
+        center, cost = _one_center(points[idx], weights[idx], z, BRUTE_FORCE_MEDIAN_TOL)
         one_cost[mask] = cost
         one_ctr[mask] = center
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,18 +60,6 @@ class EpsCertificate:
         if aggregation == "max":
             return self.eps_maxdist
         raise ValidationError(f"unknown aggregation {aggregation!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_gap": self.eps_gap,
-            "eps_maxdist": self.eps_maxdist,
-            "rho": self.rho,
-            "z": self.z,
-            "k": self.k,
-            "gap": self.gap,
-            "max_center_dist": self.max_center_dist,
-            "w_min": self.w_min,
-        }
 
 
 @dataclass
@@ -135,7 +123,7 @@ class Coreset:
         meta = {
             "provenance": self.provenance,
             "eps_bound": self.eps_bound,
-            "certificate": self.certificate.to_dict() if self.certificate else None,
+            "certificate": asdict(self.certificate) if self.certificate else None,
             "size": self.size,
             "total_weight": self.total_weight,
         }
@@ -172,7 +160,6 @@ def certify_eps(
     pointset: WeightedPointSet,
     result: ClusteringResult | DoubledRun,
     rho: float = 1.0,
-    max_iter: int = 300,
 ) -> EpsCertificate:
     """Certify the coreset error of a clustering run's centers.
 
@@ -187,7 +174,7 @@ def certify_eps(
     if isinstance(result, DoubledRun):
         run = result
     else:
-        run = extend_to_doubled(pointset, result, max_iter=max_iter)
+        run = extend_to_doubled(pointset, result)
     base = run.base
     gap = max(run.gap, 0.0)
     w_min = pointset.w_min

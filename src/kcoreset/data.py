@@ -147,27 +147,35 @@ def _is_numeric_column(values: list[str]) -> bool:
     return True
 
 
-def _read_columns(path: str) -> tuple[list[str], dict[str, list[str]]]:
-    """Header and stripped cells per column of a CSV file; blank rows are skipped."""
+def _read_columns(path: str) -> tuple[list[str], dict[str, list[str]], tuple]:
+    """Header, stripped cells per column and the file line of each data row.
+
+    Blank rows are skipped; the line numbers still count them.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = [
+            (reader.line_num, row)
+            for row in reader
+            if row and any(cell.strip() for cell in row)
+        ]
     if len(rows) < 2:
         raise ValidationError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     if len(set(header)) != len(header):
         raise ValidationError(f"{path}: duplicate column names in header")
-    data_rows = rows[1:]
-    for i, row in enumerate(data_rows, start=2):
+    lines, data_rows = zip(*rows[1:])
+    for line, row in rows[1:]:
         if len(row) != len(header):
             raise ValidationError(
-                f"{path}:{i}: row has {len(row)} cells, header has {len(header)}"
+                f"{path}:{line}: row has {len(row)} cells, header has {len(header)}"
             )
-    return header, {name: [row[j].strip() for row in data_rows] for j, name in enumerate(header)}
+    columns = {name: [row[j].strip() for row in data_rows] for j, name in enumerate(header)}
+    return header, columns, lines
 
 
-def _parse_column(values: list[str], path: str, column: str) -> np.ndarray:
-    return np.array([_parse_float(v, path, i + 2, column) for i, v in enumerate(values)])
+def _parse_column(values: list[str], lines: tuple, path: str, column: str) -> np.ndarray:
+    return np.array([_parse_float(v, path, line, column) for v, line in zip(values, lines)])
 
 
 def load_dataset(
@@ -189,7 +197,7 @@ def load_dataset(
         WeightedPointSet with features in column order; if a label column is
         present it is encoded and appended as the last coordinate.
     """
-    header, columns = _read_columns(path)
+    header, columns, lines = _read_columns(path)
 
     weight_name = None
     if weight_column is not None and weight_column in columns:
@@ -216,10 +224,10 @@ def load_dataset(
         raise ValidationError(f"{path}: no feature columns found")
 
     features = np.column_stack(
-        [_parse_column(columns[name], path, name) for name in feature_names]
+        [_parse_column(columns[name], lines, path, name) for name in feature_names]
     )
     if weight_name is not None:
-        weights = _parse_column(columns[weight_name], path, weight_name)
+        weights = _parse_column(columns[weight_name], lines, path, weight_name)
     else:
         weights = np.ones(features.shape[0])
 
@@ -251,10 +259,10 @@ def load_points_and_weights(path: str) -> tuple[np.ndarray, np.ndarray]:
     residual weights load too.  A non-numeric cell raises ValidationError
     naming ``path:line``.
     """
-    header, columns = _read_columns(path)
+    header, columns, lines = _read_columns(path)
     if len(header) < 2:
         raise ValidationError(f"{path}: need coordinate columns and a weight column")
-    values = [_parse_column(columns[name], path, name) for name in header]
+    values = [_parse_column(columns[name], lines, path, name) for name in header]
     return np.column_stack(values[:-1]), values[-1]
 
 

@@ -21,11 +21,11 @@ pipeline with the allocator pinned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .clustering import ClusteringResult, assign_to_centers, k_clustering, lloyd_from
+from .clustering import add_costliest_point, assign_to_centers, k_clustering
 from .coreset import Coreset
 from .data import WeightedPointSet
 from .errors import ValidationError
@@ -103,16 +103,7 @@ class ProtocolTrace:
 
     def to_dict(self) -> dict:
         return {
-            "messages": [
-                {
-                    "sender": m.sender,
-                    "receiver": m.receiver,
-                    "kind": m.kind,
-                    "scalars": m.scalars,
-                    "payload": m.payload,
-                }
-                for m in self.messages
-            ],
+            "messages": [asdict(m) for m in self.messages],
             "overhead_scalars": self.overhead_scalars,
             "payload_scalars": self.payload_scalars,
             "notes": list(self.notes),
@@ -125,9 +116,9 @@ def node_local_centers(
     """Cluster a shard for every center count k = 1..K.
 
     K is clamped to the shard size when necessary.  The reported costs are
-    non-increasing in k: whenever the recursive initialization alone would
-    regress, the previous run's centers plus the currently most expensive
-    point are used as an alternative start and the better result wins.
+    non-increasing in k: whenever the k-center run costs more than the
+    (k-1)-center run, :func:`add_costliest_point` grows the previous run by
+    its most expensive point and the cheaper of the two results is kept.
     """
     if K < 1:
         raise ValidationError("K must be >= 1")
@@ -138,12 +129,7 @@ def node_local_centers(
         run_seed = int(rng.integers(2**63))
         cand = k_clustering(shard, k, z=z, seed=run_seed)
         if runs and cand.cost > runs[-1].cost:
-            prev = runs[-1]
-            d = np.linalg.norm(
-                shard.points - prev.centers[prev.assignment], axis=1
-            )
-            extra = shard.points[int(np.argmax(shard.weights * d**z))]
-            alt = lloyd_from(shard, np.vstack([prev.centers, extra]), z=z)
+            alt = add_costliest_point(shard, runs[-1])
             if alt.cost < cand.cost:
                 cand = alt
         runs.append(cand)

@@ -276,25 +276,26 @@ def run_benchmark(config: dict, out_dir: str | None = None):
         raise ValidationError("config needs a non-empty 'problems' list")
     sizes = config.get("sizes", [None])
 
+    names = [entry.get("name", f"dataset{i}") for i, entry in enumerate(config["datasets"])]
+    if len(set(names)) != len(names):
+        raise ValidationError(f"dataset names must be unique, got {names}")
     datasets = [
-        (entry.get("name", f"dataset{i}"), _load_config_dataset(entry))
-        for i, entry in enumerate(config["datasets"])
+        (name, _load_config_dataset(entry)) for name, entry in zip(names, config["datasets"])
     ]
     problems = [
         (entry.get("name"), _make_problem_from_entry(entry), entry)
         for entry in config["problems"]
     ]
 
-    # cache of full-dataset solutions, shared across cells
+    # full-dataset solutions by (dataset index, problem index), shared across cells
     full_cache: dict = {}
 
-    def full_solution(ds_name, pointset, problem, di, pi):
-        key = (ds_name, problem.name, json.dumps(problem.params, sort_keys=True, default=str))
-        if key not in full_cache:
+    def full_solution(pointset, problem, di, pi):
+        if (di, pi) not in full_cache:
             solver_seed = _derived_seed(master_seed, (0xF0, di, pi))
             model = solve_problem(problem, pointset, seed=solver_seed)
-            full_cache[key] = (model, problem_cost(problem, pointset, model))
-        return full_cache[key]
+            full_cache[di, pi] = (model, problem_cost(problem, pointset, model))
+        return full_cache[di, pi]
 
     def run_task(di, ds_name, pointset, ai, algorithm, si, size, run):
         algo_name = algorithm.get("name", algorithm.get("kind", f"algo{ai}"))
@@ -317,7 +318,7 @@ def run_benchmark(config: dict, out_dir: str | None = None):
                     raise shared
                 else:
                     scored, held_out, coreset = pointset, None, shared
-                    full_model, full_cost = full_solution(ds_name, pointset, problem, di, pi)
+                    full_model, full_cost = full_solution(pointset, problem, di, pi)
                 outcome = evaluate_coreset(
                     scored, coreset, problem,
                     seed=_derived_seed(master_seed, (di, ai, si, run, pi)),

@@ -231,16 +231,9 @@ def svm_train(
     return SvmModel(coef=avg[:-1], offset=float(avg[-1]))
 
 
-def _points_weights(data) -> tuple[np.ndarray, np.ndarray]:
-    """Accept WeightedPointSet or Coreset (anything with points/weights)."""
-    return np.atleast_2d(np.asarray(data.points, dtype=float)), np.asarray(
-        data.weights, dtype=float
-    )
-
-
 def problem_cost(problem: MLProblem, data, model) -> float:
     """Aggregate cost of a model on a weighted point set (or coreset)."""
-    points, weights = _points_weights(data)
+    points, weights = data.points, data.weights
     if problem.name == "meb":
         per_point = np.linalg.norm(points - model.center, axis=1)
         return float(per_point.max())

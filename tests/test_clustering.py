@@ -12,12 +12,12 @@ import pytest
 from kcoreset import (
     ValidationError,
     WeightedPointSet,
+    add_costliest_point,
     assign_to_centers,
     brute_force_optimal,
     clustering_cost,
     k_clustering,
     k_clustering_doubled,
-    lloyd_from,
     one_mean,
     one_median,
     weighted_geometric_median,
@@ -205,16 +205,19 @@ class TestEngine:
         with pytest.raises(ValidationError):
             k_clustering(ps, 3)
 
-    def test_lloyd_from_does_not_increase_initial_cost(self):
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_add_costliest_point_grows_run_without_raising_cost(self, z):
         ps = as_set(*random_instance(31, n_range=(25, 25)))
-        init = ps.points[:3] + 0.05
-        res = lloyd_from(ps, init, z=2)
-        assert res.cost <= clustering_cost(ps, init, 2) + 1e-12
+        run = k_clustering(ps, 3, z=z, seed=2)
+        grown = add_costliest_point(ps, run)
+        assert grown.k == run.k + 1
+        assert grown.cost <= run.cost + 1e-9 * (1.0 + run.cost)
 
-    def test_lloyd_from_checks_dimensions(self):
-        ps = as_set([[0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(ValidationError):
-            lloyd_from(ps, np.zeros((2, 3)))
+        on_centers = as_set([[0.0, 0.0], [3.0, 1.0]])
+        run = k_clustering(on_centers, 2, z=z)
+        grown = add_costliest_point(on_centers, run)
+        assert (grown.k, grown.cost, grown.iterations) == (3, 0.0, 0)
+        assert np.array_equal(grown.centers[2], run.centers[0])
 
 
 class TestDoubledRun:

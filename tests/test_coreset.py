@@ -282,6 +282,11 @@ class TestPersistence:
         path.write_text("x0,x1,weight\n1.0,2.0,3.0\nabc,5.0,\n")
         with pytest.raises(ValidationError, match=r"bad\.csv:3"):
             load_coreset(str(path))
+        # a skipped blank row still counts as a line of the file
+        path = tmp_path / "blank.csv"
+        path.write_text("x0,x1,weight\n1.0,2.0,3.0\n\nabc,5.0,1.0\n")
+        with pytest.raises(ValidationError, match=r"blank\.csv:4:"):
+            load_coreset(str(path))
 
 
 class TestNegativeWeights:

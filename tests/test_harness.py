@@ -221,6 +221,13 @@ class TestRunBenchmark:
         bad["datasets"] = [{"name": "x", "synthetic": {"kind": "spiral"}}]
         with pytest.raises(ValidationError):
             run_benchmark(bad)
+        same_name = tiny_config()
+        same_name["datasets"] = [
+            {"name": "d", "synthetic": {"kind": "uniform", "n": 40, "high": high}}
+            for high in (1.0, 100.0)
+        ]
+        with pytest.raises(ValidationError, match="unique"):
+            run_benchmark(same_name)
 
     def test_file_dataset_entries_load(self, tmp_path):
         from kcoreset import save_pointset
