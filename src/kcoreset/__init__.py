@@ -33,6 +33,7 @@ from .clustering import (
     clustering_cost,
     k_clustering,
     k_clustering_doubled,
+    k_clustering_ladder,
     one_mean,
     one_median,
     weighted_geometric_median,
@@ -99,6 +100,7 @@ __all__ = [
     "clustering_cost",
     "k_clustering",
     "k_clustering_doubled",
+    "k_clustering_ladder",
     "one_mean",
     "one_median",
     "weighted_geometric_median",

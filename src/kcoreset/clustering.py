@@ -68,38 +68,42 @@ def weighted_geometric_median(
     Starts from the weighted mean (or ``init``) and stops when the gradient
     of sum_p w_p*||p - y|| has norm <= tol, or, if the iterate coincides
     with a data point, when that point satisfies the local optimality test
-    (pull of the remaining points no larger than the point's own weight).
+    (pull of the remaining points no larger than the point's own weight);
+    the data point itself is then returned.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if points.shape[0] == 1:
         return points[0].copy()
     y = np.average(points, axis=0, weights=weights) if init is None else np.array(init, dtype=float)
-    scale = 1.0 + float(np.abs(points).max())
+    thresh = 1e-14 * (1.0 + float(np.abs(points).max()))
     for _ in range(WEISZFELD_MAX_ITER):
         diff = points - y
-        dist = np.linalg.norm(diff, axis=1)
-        near = dist <= 1e-14 * scale
-        if near.any():
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        if dist.min() <= thresh:
+            # the iterate sits on a data point: stop there exactly, not on
+            # the iterate, which can be an ULP away from it
+            near = dist <= thresh
+            here = points[np.argmax(near)].copy()
             far = ~near
             if not far.any():
-                return y  # every point coincides with the iterate
+                return here
             w_here = weights[near].sum()
             inv = weights[far] / dist[far]
             pull_vec = inv @ diff[far]
-            pull = np.linalg.norm(pull_vec)
+            pull = np.sqrt(pull_vec @ pull_vec)
             if pull <= w_here + tol:
-                return y
+                return here
             t_map = (inv @ points[far]) / inv.sum()
             beta = min(1.0, w_here / pull)
             y_new = (1.0 - beta) * t_map + beta * y
         else:
             inv = weights / dist
             grad = -(inv @ diff)
-            if np.linalg.norm(grad) <= tol:
+            if np.sqrt(grad @ grad) <= tol:
                 return y
             y_new = (inv @ points) / inv.sum()
-        if np.array_equal(y_new, y):
+        if (y_new == y).all():
             return y
         y = y_new
     return y
@@ -234,17 +238,61 @@ def add_costliest_point(pointset: WeightedPointSet, run: ClusteringResult) -> Cl
     return _add_costliest(pointset.points, pointset.weights, run)
 
 
-def _solve(points, weights, k, z, rng) -> ClusteringResult:
-    n = points.shape[0]
-    if k >= n:
-        return _trivial_result(points, weights, points.copy(), z)
-    if k == 1:
-        return _single_center(points, weights, z)
-    base = _solve(points, weights, k // 2, z, rng)
-    init = _split_init(points, weights, base)[0]
-    if k % 2 == 1:
-        init = np.vstack([init, points[rng.integers(n)]])
-    return _lloyd(points, weights, init, z)
+class _Recursion:
+    """The k/2 -> k recursion on one weighted point set, for one call.
+
+    Only odd k draw from the rng, so the run for a power-of-two k, and the
+    2-center splits of its clusters, are fixed by (points, weights, z).
+    Each is computed once here and shared by every k solved through this
+    object; runs that draw from the rng are never kept.
+    """
+
+    def __init__(self, pointset: WeightedPointSet, z: int):
+        _validate_z(z)
+        self.pointset, self.z = pointset, z
+        self._runs = {}    # power-of-two k -> k-center run
+        self._splits = {}  # power-of-two k -> (run, split centers, split costs)
+
+    def run(self, k: int, rng) -> ClusteringResult:
+        if k in self._runs:
+            return self._runs[k]
+        points, weights, z = self.pointset.points, self.pointset.weights, self.z
+        n = points.shape[0]
+        if k >= n:
+            run = _trivial_result(points, weights, points.copy(), z)
+        elif k == 1:
+            run = _single_center(points, weights, z)
+        else:
+            init = self.split(k // 2, rng)[1]
+            if k % 2 == 1:
+                init = np.vstack([init, points[rng.integers(n)]])
+            run = _lloyd(points, weights, init, z)
+        if _is_power_of_two(k):
+            self._runs[k] = run
+        return run
+
+    def split(self, k: int, rng) -> tuple:
+        """The k-center run followed by what :func:`_split_init` returns for it."""
+        if k in self._splits:
+            return self._splits[k]
+        base = self.run(k, rng)
+        split = (base, *_split_init(self.pointset.points, self.pointset.weights, base))
+        if _is_power_of_two(k):
+            self._splits[k] = split
+        return split
+
+    def doubled(self, k: int, rng) -> DoubledRun:
+        """The k-center run and the 2k-center run seeded from its split."""
+        _check_k(self.pointset, k)
+        if not _is_power_of_two(k):
+            return extend_to_doubled(self.pointset, self.run(k, rng))
+        # run(2k) starts from this same, kept split
+        base, _, split_costs = self.split(k, rng)
+        return DoubledRun(base=base, doubled=self.run(2 * k, rng), split_costs=split_costs)
+
+
+def _is_power_of_two(k: int) -> bool:
+    return k & (k - 1) == 0
 
 
 def _split_init(points, weights, base: ClusteringResult):
@@ -267,6 +315,11 @@ def _split_init(points, weights, base: ClusteringResult):
     return np.vstack(init), np.array(split_costs)
 
 
+def _check_k(pointset: WeightedPointSet, k: int) -> None:
+    if not 1 <= k <= pointset.size:
+        raise ValidationError(f"k must be in [1, {pointset.size}], got {k}")
+
+
 def k_clustering(
     pointset: WeightedPointSet, k: int, z: int = 2, seed: int = 0
 ) -> ClusteringResult:
@@ -284,11 +337,21 @@ def k_clustering(
         clusters (to solver tolerance), with per-point assignment, final
         cost, and the cost trace of the run.
     """
-    _validate_z(z)
-    if not 1 <= k <= pointset.size:
-        raise ValidationError(f"k must be in [1, {pointset.size}], got {k}")
-    rng = np.random.default_rng(seed)
-    return _solve(pointset.points, pointset.weights, k, z, rng)
+    _check_k(pointset, k)
+    return _Recursion(pointset, z).run(k, np.random.default_rng(seed))
+
+
+def k_clustering_ladder(pointset: WeightedPointSet, seeds, z: int = 2) -> list:
+    """k_clustering runs for every k = 1..len(seeds), sharing their common work.
+
+    Run k equals ``k_clustering(pointset, k, z, seed=seeds[k-1])`` bit for
+    bit.  The runs for power-of-two k draw no randomness, so each of them,
+    and the 2-center splits built on it, is computed once for the whole
+    ladder instead of once per larger k.
+    """
+    _check_k(pointset, len(seeds))
+    recursion = _Recursion(pointset, z)
+    return [recursion.run(k, np.random.default_rng(seed)) for k, seed in enumerate(seeds, 1)]
 
 
 @dataclass

@@ -9,8 +9,10 @@ from kcoreset import (
     ShardSpec,
     ValidationError,
     WeightedPointSet,
+    add_costliest_point,
     cdcc,
     drcc,
+    k_clustering,
     node_local_centers,
     node_sample,
     partition_dataset,
@@ -62,6 +64,45 @@ class TestLocalLadder:
     def test_invalid_budget(self):
         with pytest.raises(ValidationError):
             node_local_centers(random_set(4), 0)
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_rungs_match_independent_runs(self, z):
+        # K = 9 covers the shared power-of-two runs 1, 2, 4, 8 and the
+        # seeded runs 3, 5, 6, 7, 9
+        for seed in range(3):
+            shard = random_set(40 + seed)
+            assert_same_ladder(node_local_centers(shard, 9, z=z, seed=seed),
+                               ladder_of_independent_runs(shard, 9, z, seed))
+
+    def test_consecutive_ladders_share_no_state(self):
+        first, second = random_set(50), random_set(51)
+        assert first.points.shape == second.points.shape
+        node_local_centers(first, 9, z=1, seed=4)
+        assert_same_ladder(node_local_centers(second, 9, z=1, seed=4),
+                           ladder_of_independent_runs(second, 9, 1, 4))
+
+
+def ladder_of_independent_runs(shard, K, z, seed):
+    """The node ladder from one k_clustering call per rung, nothing shared."""
+    rng = np.random.default_rng(seed)
+    runs = []
+    for k in range(1, K + 1):
+        cand = k_clustering(shard, k, z=z, seed=int(rng.integers(2**63)))
+        if runs and cand.cost > runs[-1].cost:
+            alt = add_costliest_point(shard, runs[-1])
+            if alt.cost < cand.cost:
+                cand = alt
+        runs.append(cand)
+    return runs
+
+
+def assert_same_ladder(ladder, runs):
+    assert len(ladder.runs) == len(runs)
+    for got, want in zip(ladder.runs, runs):
+        assert np.array_equal(got.centers, want.centers)
+        assert np.array_equal(got.assignment, want.assignment)
+        assert (got.cost, got.iterations, got.converged) == (want.cost, want.iterations, want.converged)
+        assert got.cost_history == want.cost_history
 
 
 def reports_from(cost_rows):
