@@ -33,7 +33,6 @@ from .clustering import (
     clustering_cost,
     k_clustering,
     k_clustering_doubled,
-    k_clustering_ladder,
     one_mean,
     one_median,
     weighted_geometric_median,
@@ -100,7 +99,6 @@ __all__ = [
     "clustering_cost",
     "k_clustering",
     "k_clustering_doubled",
-    "k_clustering_ladder",
     "one_mean",
     "one_median",
     "weighted_geometric_median",

@@ -76,22 +76,22 @@ def weighted_geometric_median(
     if points.shape[0] == 1:
         return points[0].copy()
     y = np.average(points, axis=0, weights=weights) if init is None else np.array(init, dtype=float)
-    thresh = 1e-14 * (1.0 + float(np.abs(points).max()))
+    scale = 1.0 + float(np.abs(points).max())
     for _ in range(WEISZFELD_MAX_ITER):
         diff = points - y
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        if dist.min() <= thresh:
-            # the iterate sits on a data point: stop there exactly, not on
+        dist = np.linalg.norm(diff, axis=1)
+        near = dist <= 1e-14 * scale
+        if near.any():
+            # the iterate sits on a data point: stop on that point, not on
             # the iterate, which can be an ULP away from it
-            near = dist <= thresh
             here = points[np.argmax(near)].copy()
             far = ~near
             if not far.any():
-                return here
+                return here  # every point coincides with the iterate
             w_here = weights[near].sum()
             inv = weights[far] / dist[far]
             pull_vec = inv @ diff[far]
-            pull = np.sqrt(pull_vec @ pull_vec)
+            pull = np.linalg.norm(pull_vec)
             if pull <= w_here + tol:
                 return here
             t_map = (inv @ points[far]) / inv.sum()
@@ -100,10 +100,10 @@ def weighted_geometric_median(
         else:
             inv = weights / dist
             grad = -(inv @ diff)
-            if np.sqrt(grad @ grad) <= tol:
+            if np.linalg.norm(grad) <= tol:
                 return y
             y_new = (inv @ points) / inv.sum()
-        if (y_new == y).all():
+        if np.array_equal(y_new, y):
             return y
         y = y_new
     return y
@@ -242,7 +242,7 @@ class _Recursion:
     """The k/2 -> k recursion on one weighted point set, for one call.
 
     Only odd k draw from the rng, so the run for a power-of-two k, and the
-    2-center splits of its clusters, are fixed by (points, weights, z).
+    2-center split of its clusters, are fixed by (points, weights, z).
     Each is computed once here and shared by every k solved through this
     object; runs that draw from the rng are never kept.
     """
@@ -251,7 +251,7 @@ class _Recursion:
         _validate_z(z)
         self.pointset, self.z = pointset, z
         self._runs = {}    # power-of-two k -> k-center run
-        self._splits = {}  # power-of-two k -> (run, split centers, split costs)
+        self._splits = {}  # power-of-two k -> 2k-center init split from that run
 
     def run(self, k: int, rng) -> ClusteringResult:
         if k in self._runs:
@@ -263,7 +263,7 @@ class _Recursion:
         elif k == 1:
             run = _single_center(points, weights, z)
         else:
-            init = self.split(k // 2, rng)[1]
+            init = self._split(k // 2, rng)
             if k % 2 == 1:
                 init = np.vstack([init, points[rng.integers(n)]])
             run = _lloyd(points, weights, init, z)
@@ -271,24 +271,14 @@ class _Recursion:
             self._runs[k] = run
         return run
 
-    def split(self, k: int, rng) -> tuple:
-        """The k-center run followed by what :func:`_split_init` returns for it."""
+    def _split(self, k: int, rng) -> np.ndarray:
         if k in self._splits:
             return self._splits[k]
         base = self.run(k, rng)
-        split = (base, *_split_init(self.pointset.points, self.pointset.weights, base))
+        split = _split_init(self.pointset.points, self.pointset.weights, base)[0]
         if _is_power_of_two(k):
             self._splits[k] = split
         return split
-
-    def doubled(self, k: int, rng) -> DoubledRun:
-        """The k-center run and the 2k-center run seeded from its split."""
-        _check_k(self.pointset, k)
-        if not _is_power_of_two(k):
-            return extend_to_doubled(self.pointset, self.run(k, rng))
-        # run(2k) starts from this same, kept split
-        base, _, split_costs = self.split(k, rng)
-        return DoubledRun(base=base, doubled=self.run(2 * k, rng), split_costs=split_costs)
 
 
 def _is_power_of_two(k: int) -> bool:
@@ -315,11 +305,6 @@ def _split_init(points, weights, base: ClusteringResult):
     return np.vstack(init), np.array(split_costs)
 
 
-def _check_k(pointset: WeightedPointSet, k: int) -> None:
-    if not 1 <= k <= pointset.size:
-        raise ValidationError(f"k must be in [1, {pointset.size}], got {k}")
-
-
 def k_clustering(
     pointset: WeightedPointSet, k: int, z: int = 2, seed: int = 0
 ) -> ClusteringResult:
@@ -337,21 +322,9 @@ def k_clustering(
         clusters (to solver tolerance), with per-point assignment, final
         cost, and the cost trace of the run.
     """
-    _check_k(pointset, k)
+    if not 1 <= k <= pointset.size:
+        raise ValidationError(f"k must be in [1, {pointset.size}], got {k}")
     return _Recursion(pointset, z).run(k, np.random.default_rng(seed))
-
-
-def k_clustering_ladder(pointset: WeightedPointSet, seeds, z: int = 2) -> list:
-    """k_clustering runs for every k = 1..len(seeds), sharing their common work.
-
-    Run k equals ``k_clustering(pointset, k, z, seed=seeds[k-1])`` bit for
-    bit.  The runs for power-of-two k draw no randomness, so each of them,
-    and the 2-center splits built on it, is computed once for the whole
-    ladder instead of once per larger k.
-    """
-    _check_k(pointset, len(seeds))
-    recursion = _Recursion(pointset, z)
-    return [recursion.run(k, np.random.default_rng(seed)) for k, seed in enumerate(seeds, 1)]
 
 
 @dataclass

@@ -28,7 +28,6 @@ import numpy as np
 from .clustering import (
     ClusteringResult,
     DoubledRun,
-    _Recursion,
     extend_to_doubled,
     k_clustering_doubled,
 )
@@ -268,16 +267,13 @@ def rcc(
     threshold = pointset.w_min * (eps / rho) ** z
     rng = np.random.default_rng(seed)
 
-    # every size tried is k_clustering_doubled(pointset, k, z, seed=<next
-    # draw>); sharing one recursion lets each doubling step start from the
-    # previous step's 2k-center run instead of clustering from scratch
-    recursion = _Recursion(pointset, z)
     runs: dict[int, DoubledRun] = {}
 
     def gap_at(k: int) -> float:
         if k not in runs:
-            run_rng = np.random.default_rng(int(rng.integers(2**63)))
-            runs[k] = recursion.doubled(k, run_rng)
+            runs[k] = k_clustering_doubled(
+                pointset, k, z=z, seed=int(rng.integers(2**63))
+            )
         return max(runs[k].gap, 0.0)
 
     # double until the gap certificate passes, then binary-refine downwards

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .clustering import add_costliest_point, assign_to_centers, k_clustering_ladder
+from .clustering import _Recursion, add_costliest_point, assign_to_centers
 from .coreset import Coreset
 from .data import WeightedPointSet
 from .errors import ValidationError
@@ -116,21 +116,23 @@ def node_local_centers(
     """Cluster a shard for every center count k = 1..K.
 
     K is clamped to the shard size when necessary.  The k-center candidate
-    is ``k_clustering(shard, k, z, seed=s_k)`` with s_k drawn from ``seed``;
-    the candidates come from :func:`k_clustering_ladder`, so the runs for
-    power-of-two k, on which the larger k build, are computed once per
-    ladder.  The reported costs are non-increasing in k: whenever the
-    k-center run costs more than the (k-1)-center run,
-    :func:`add_costliest_point` grows the previous run by its most
-    expensive point and the cheaper of the two results is kept.
+    equals ``k_clustering(shard, k, z, seed=s_k)`` with s_k drawn from
+    ``seed``.  All candidates come from one k/2 -> k recursion, so the runs
+    for power-of-two k, which draw no randomness and on which the larger k
+    build, are computed once per ladder.  The reported costs are
+    non-increasing in k: whenever the k-center run costs more than the
+    (k-1)-center run, :func:`add_costliest_point` grows the previous run by
+    its most expensive point and the cheaper of the two results is kept.
     """
     if K < 1:
         raise ValidationError("K must be >= 1")
     clamped = K > shard.size
     rng = np.random.default_rng(seed)
-    seeds = [int(rng.integers(2**63)) for _ in range(min(K, shard.size))]
+    recursion = _Recursion(shard, z)
     runs = []
-    for cand in k_clustering_ladder(shard, seeds, z=z):
+    for k in range(1, min(K, shard.size) + 1):
+        run_seed = int(rng.integers(2**63))
+        cand = recursion.run(k, np.random.default_rng(run_seed))
         if runs and cand.cost > runs[-1].cost:
             alt = add_costliest_point(shard, runs[-1])
             if alt.cost < cand.cost:

@@ -194,50 +194,12 @@ class TestAdaptive:
         coreset = rcc(ps, eps=eps, z=1, seed=2)
         assert coreset.certificate.gap <= ps.w_min * eps + 1e-12
 
-    @pytest.mark.parametrize("z, eps", [(1, 10.0), (1, 16.0), (2, 1.5)])
-    def test_matches_search_clustering_each_size_afresh(self, z, eps):
-        ps = spread_set(17, n=120, d=2)
-        k, runs = search_clustering_each_size_afresh(ps, eps, z, seed=5)
-        coreset = rcc(ps, eps=eps, z=z, seed=5)
-        assert coreset.provenance["sizes_tried"] == sorted(runs)
-        assert coreset.certificate == certify_eps(ps, runs[k])
-        expected = coreset_from_run(ps, runs[k].base)
-        assert np.array_equal(coreset.points, expected.points)
-        assert np.array_equal(coreset.weights, expected.weights)
-
     def test_invalid_inputs(self):
         ps = spread_set(16, n=10)
         with pytest.raises(ValidationError):
             rcc(ps, eps=0.0)
         with pytest.raises(ValidationError):
             rcc(ps, eps=0.5, rho=np.inf)
-        with pytest.raises(ValidationError):
-            rcc(ps, eps=0.5, k_max=0)
-
-
-def search_clustering_each_size_afresh(ps, eps, z, seed):
-    """rcc's size search, with one independent k_clustering_doubled per size.
-
-    Covers searches that pass while doubling; returns the chosen size and
-    the runs of every size tried.
-    """
-    threshold = ps.w_min * eps**z
-    rng = np.random.default_rng(seed)
-    runs = {}
-
-    def passes(k):
-        if k not in runs:
-            runs[k] = k_clustering_doubled(ps, k, z=z, seed=int(rng.integers(2**63)))
-        return max(runs[k].gap, 0.0) <= threshold
-
-    lo, k = 0, 1
-    while not passes(k):
-        lo, k = k, 2 * k
-    assert k <= ps.size // 2
-    while k - lo > 1:
-        mid = (lo + k) // 2
-        lo, k = (lo, mid) if passes(mid) else (mid, k)
-    return k, runs
 
 
 class TestGuaranteeOnModels:

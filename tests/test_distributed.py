@@ -11,6 +11,7 @@ from kcoreset import (
     WeightedPointSet,
     add_costliest_point,
     cdcc,
+    clustering_cost,
     drcc,
     k_clustering,
     node_local_centers,
@@ -78,8 +79,11 @@ class TestLocalLadder:
         first, second = random_set(50), random_set(51)
         assert first.points.shape == second.points.shape
         node_local_centers(first, 9, z=1, seed=4)
-        assert_same_ladder(node_local_centers(second, 9, z=1, seed=4),
-                           ladder_of_independent_runs(second, 9, 1, 4))
+        ladder = node_local_centers(second, 9, z=1, seed=4)
+        assert_same_ladder(ladder, ladder_of_independent_runs(second, 9, 1, 4))
+        # measured on the second shard, not on the first
+        for run in ladder.runs:
+            assert run.cost == pytest.approx(clustering_cost(second, run.centers, z=1))
 
 
 def ladder_of_independent_runs(shard, K, z, seed):
