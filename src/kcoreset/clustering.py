@@ -3,10 +3,20 @@
 The cost of a center set Q on a weighted point set is
 ``sum_p w_p * (min_{q in Q} ||p - q||)^z`` with z = 2 (k-means) or
 z = 1 (k-median).  The solver is Lloyd iteration over weighted 1-center
-steps.  Initialization is recursive: a 2m-center run starts from the union
-of per-cluster 2-center solutions of an m-center run, and every 2-center
-run starts from the cluster's own 1-center plus its most expensive point.
-This ordering makes the reported costs satisfy, by construction,
+steps.  Each Lloyd pass works on whole arrays: one distance matrix gives
+the cost, the new assignment and the restart of empty centers, and the
+points sorted by cluster make every cluster one contiguous segment, so
+all clusters are recentered at once: z=2 by segmented weighted sums, z=1
+by one Weiszfeld solver that advances every segment's iterate together.
+That solver is also the only 1-median code: ``weighted_geometric_median``
+is its one-segment call, and ``brute_force_optimal`` solves all subsets
+in one call.
+
+Initialization is recursive: a 2m-center run starts from the union of
+per-cluster 2-center solutions of an m-center run, and every 2-center run
+starts from the cluster's center in the m-center run (its 1-center, once
+that run has converged) plus its most expensive point.  This ordering
+makes the reported costs satisfy, by construction,
 
   * each returned center is a (near-)optimal 1-center of its cluster,
   * cost(P, 2k centers) <= sum of the per-cluster 2-center costs,
@@ -66,55 +76,104 @@ def weighted_geometric_median(
     """Weighted geometric median by damped Weiszfeld iteration.
 
     Starts from the weighted mean (or ``init``) and stops when the gradient
-    of sum_p w_p*||p - y|| has norm <= tol, or, if the iterate coincides
-    with a data point, when that point satisfies the local optimality test
-    (pull of the remaining points no larger than the point's own weight);
-    the data point itself is then returned.
+    of sum_p w_p*||p - y|| has norm <= tol, when an iteration leaves the
+    iterate unchanged, or, if the iterate coincides with a data point, when
+    that point satisfies the local optimality test (pull of the remaining
+    points no larger than the point's own weight); the data point itself is
+    then returned.  This is the one-segment call of the solver that Lloyd
+    iteration and :func:`brute_force_optimal` run on many clusters at once.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if points.shape[0] == 1:
-        return points[0].copy()
-    y = np.average(points, axis=0, weights=weights) if init is None else np.array(init, dtype=float)
-    scale = 1.0 + float(np.abs(points).max())
+    init = None if init is None else np.asarray(init, dtype=float)[None, :]
+    return _segment_centers(points, weights, np.zeros(1, dtype=np.intp), 1, tol, init)[0]
+
+
+def _segment_centers(points, weights, starts, z, tol=DEFAULT_MEDIAN_TOL, init=None):
+    """1-centers of the contiguous row segments that begin at ``starts``.
+
+    Segment s is rows starts[s] up to starts[s+1] (the last one runs to the
+    end); every segment must be non-empty.  z=2 gives the weighted means;
+    z=1 gives Weiszfeld medians started from ``init`` or the means.
+    """
+    if z == 2:
+        return _segment_means(points, weights, starts)
+    if init is None:
+        init = _segment_means(points, weights, starts)
+    return _weiszfeld(points, weights, starts, init, tol)
+
+
+def _segment_means(points, weights, starts):
+    sums = np.add.reduceat(points * weights[:, None], starts, axis=0)
+    return sums / np.add.reduceat(weights, starts)[:, None]
+
+
+def _weiszfeld(points, weights, starts, init, tol):
+    """Weiszfeld iteration on every segment at once; see weighted_geometric_median.
+
+    Each segment stops on its own tests and after at most
+    WEISZFELD_MAX_ITER steps.  A finished segment's rows are dropped, so
+    the segments still iterating do not pay for it.
+    """
+    sizes = np.diff(np.append(starts, points.shape[0]))
+    near_dist = 1e-14 * (1.0 + np.maximum.reduceat(np.abs(points).max(axis=1), starts))
+    out = np.array(init, dtype=float)
+    # a one-point segment is its own median
+    single = sizes == 1
+    out[single] = points[starts[single]]
+    live = np.flatnonzero(~single)  # row of ``out`` of each segment still iterating
+    rows = np.repeat(~single, sizes)
+    # coordinates along rows, so each pass runs over long contiguous arrays
+    pts, weights = points[rows].T.copy(), weights[rows]
+    near_dist = np.repeat(near_dist, sizes)[rows]
+    sizes, y = sizes[live], out[live].T
+    starts = np.cumsum(sizes) - sizes
     for _ in range(WEISZFELD_MAX_ITER):
-        diff = points - y
-        dist = np.linalg.norm(diff, axis=1)
-        near = dist <= 1e-14 * scale
+        if not live.size:
+            return out
+        diff = np.repeat(y, sizes, axis=1)
+        np.subtract(pts, diff, out=diff)
+        dist = np.sqrt(np.einsum("ij,ij->j", diff, diff))
+        near = dist <= near_dist
+        dist[near] = np.inf  # a point on the iterate does not pull
+        inv = weights / dist
+        inv_sum = np.add.reduceat(inv, starts)
+        diff *= inv
+        pull_vec = np.add.reduceat(diff, starts, axis=1)
+        pull = np.sqrt(np.einsum("ij,ij->j", pull_vec, pull_vec))
+        stop = pull <= tol  # the gradient test
         if near.any():
             # the iterate sits on a data point: stop on that point, not on
-            # the iterate, which can be an ULP away from it
-            here = points[np.argmax(near)].copy()
-            far = ~near
-            if not far.any():
-                return here  # every point coincides with the iterate
-            w_here = weights[near].sum()
-            inv = weights[far] / dist[far]
-            pull_vec = inv @ diff[far]
-            pull = np.linalg.norm(pull_vec)
-            if pull <= w_here + tol:
-                return here
-            t_map = (inv @ points[far]) / inv.sum()
-            beta = min(1.0, w_here / pull)
-            y_new = (1.0 - beta) * t_map + beta * y
-        else:
-            inv = weights / dist
-            grad = -(inv @ diff)
-            if np.linalg.norm(grad) <= tol:
-                return y
-            y_new = (inv @ points) / inv.sum()
-        if np.array_equal(y_new, y):
-            return y
+            # the iterate, which can be an ULP away from it, when the pull of
+            # the other points does not exceed its weight; else damp the step
+            seg = np.repeat(np.arange(live.size), sizes)
+            first = np.flatnonzero(near)
+            first = first[np.r_[True, seg[first[1:]] != seg[first[:-1]]]]
+            hit = seg[first]
+            w_here = np.add.reduceat(np.where(near, weights, 0.0), starts)[hit]
+            pinned = pull[hit] <= w_here + tol
+            stop[hit] = pinned
+            y[:, hit[pinned]] = pts[:, first[pinned]]
+            inv_sum[hit[pinned]] = np.inf  # no step, also where no point pulls
+            moving = hit[~pinned]
+            pull_vec[:, moving] *= 1.0 - np.minimum(1.0, w_here[~pinned] / pull[moving])
+        y_new = y + pull_vec / inv_sum
+        stop |= (y_new == y).all(axis=0)
+        if stop.any():
+            out[live[stop]] = y[:, stop].T
+            keep = ~stop
+            rows = np.repeat(keep, sizes)
+            pts, weights, near_dist = pts[:, rows], weights[rows], near_dist[rows]
+            sizes, live, y_new = sizes[keep], live[keep], y_new[:, keep]
+            starts = np.cumsum(sizes) - sizes
         y = y_new
-    return y
+    out[live] = y.T
+    return out
 
 
-def _one_center(points, weights, z, median_tol=DEFAULT_MEDIAN_TOL, init=None):
+def _one_center(points, weights, z, median_tol=DEFAULT_MEDIAN_TOL):
     """Optimal (z=2) or near-optimal (z=1) single center with its cost."""
-    if z == 2:
-        center = np.average(points, axis=0, weights=weights)
-    else:
-        center = weighted_geometric_median(points, weights, tol=median_tol, init=init)
+    center = _segment_centers(points, weights, np.zeros(1, dtype=np.intp), z, median_tol)[0]
     return center, _cost_arrays(points, weights, center[None, :], z)
 
 
@@ -153,37 +212,51 @@ class ClusteringResult:
         return np.flatnonzero(self.assignment == i)
 
 
+def _cost_and_assignment(points, weights, centers, z, empty=()):
+    """Cost and nearest-center assignment, both from one distance matrix.
+
+    Each center listed in ``empty`` first restarts, in place, at the
+    currently most expensive point, unless that would not lower the cost.
+    """
+    dist = cdist(points, centers)
+    nearest = dist.min(axis=1)
+    cost = float(weights @ nearest**z)
+    for i in empty:
+        scores = weights * nearest**z
+        j = int(np.argmax(scores))
+        if scores[j] <= 0:
+            break
+        old = dist[:, i].copy()
+        dist[:, i] = cdist(points, points[j : j + 1])[:, 0]
+        moved = dist.min(axis=1)
+        moved_cost = float(weights @ moved**z)
+        if moved_cost > cost:
+            dist[:, i] = old
+        else:
+            centers[i] = points[j]
+            nearest, cost = moved, moved_cost
+    return cost, dist.argmin(axis=1)
+
+
 def _lloyd(points, weights, init_centers, z) -> ClusteringResult:
     centers = np.atleast_2d(np.array(init_centers, dtype=float))
     k = centers.shape[0]
-    history = [_cost_arrays(points, weights, centers, z)]
-    assign = assign_to_centers(points, centers)
+    cost, assign = _cost_and_assignment(points, weights, centers, z)
+    history = [cost]
     converged = False
     iterations = 0
     for iterations in range(1, LLOYD_MAX_ITER + 1):
-        for i in range(k):
-            idx = np.flatnonzero(assign == i)
-            if idx.size:
-                centers[i], _ = _one_center(points[idx], weights[idx], z, init=centers[i])
-        cost_now = _cost_arrays(points, weights, centers, z)
-        empties = np.setdiff1d(np.arange(k), assign)
-        for i in empties:
-            # an unused center restarts at the currently most expensive point,
-            # unless that would not lower the cost
-            d = cdist(points, centers).min(axis=1)
-            scores = weights * d**z
-            j = int(np.argmax(scores))
-            if scores[j] <= 0:
-                break
-            old = centers[i].copy()
-            centers[i] = points[j]
-            moved_cost = _cost_arrays(points, weights, centers, z)
-            if moved_cost > cost_now:
-                centers[i] = old
-            else:
-                cost_now = moved_cost
-        history.append(cost_now)
-        new_assign = assign_to_centers(points, centers)
+        # recenter every cluster at once: sorted by cluster, each is one segment
+        order = np.argsort(assign, kind="stable")
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
+        starts = (np.cumsum(counts) - counts)[filled]
+        centers[filled] = _segment_centers(
+            points[order], weights[order], starts, z, init=centers[filled]
+        )
+        empty = np.flatnonzero(~filled)
+        cost, new_assign = _cost_and_assignment(points, weights, centers, z, empty)
+        history.append(cost)
         if np.array_equal(new_assign, assign):
             converged = True
             break
@@ -201,8 +274,7 @@ def _lloyd(points, weights, init_centers, z) -> ClusteringResult:
 
 def _trivial_result(points, weights, centers, z) -> ClusteringResult:
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    assign = assign_to_centers(points, centers)
-    cost = _cost_arrays(points, weights, centers, z)
+    cost, assign = _cost_and_assignment(points, weights, centers, z)
     return ClusteringResult(
         centers=centers, assignment=assign, cost=cost, z=z,
         iterations=0, converged=True, cost_history=[cost],
@@ -288,8 +360,9 @@ def _is_power_of_two(k: int) -> bool:
 def _split_init(points, weights, base: ClusteringResult):
     """2-center solutions of every cluster of ``base``; returns (centers, costs).
 
-    Each cluster's 2-center run is seeded with {its 1-center, its most
-    expensive point}.
+    Each cluster's 2-center run is seeded with {its center in ``base``, its
+    most expensive point}.  The center of a converged run already is its
+    cluster's 1-center, so it is not solved again.
     """
     init, split_costs = [], []
     for i in range(base.k):
@@ -299,7 +372,7 @@ def _split_init(points, weights, base: ClusteringResult):
             split_costs.append(0.0)
             continue
         pts, wts = points[idx], weights[idx]
-        sub = _add_costliest(pts, wts, _single_center(pts, wts, base.z))
+        sub = _add_costliest(pts, wts, _trivial_result(pts, wts, base.centers[i], base.z))
         init.append(sub.centers)
         split_costs.append(sub.cost)
     return np.vstack(init), np.array(split_costs)
@@ -395,16 +468,16 @@ def brute_force_optimal(pointset: WeightedPointSet, k: int, z: int = 2) -> Brute
         raise ValidationError("exhaustive search is limited to 12 points")
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    points, weights = pointset.points, pointset.weights
     full = (1 << n) - 1
-    index_cache = [np.flatnonzero([(mask >> i) & 1 for i in range(n)]) for mask in range(full + 1)]
-    one_cost = [0.0] * (full + 1)
-    one_ctr = [None] * (full + 1)
-    for mask in range(1, full + 1):
-        idx = index_cache[mask]
-        center, cost = _one_center(points[idx], weights[idx], z, BRUTE_FORCE_MEDIAN_TOL)
-        one_cost[mask] = cost
-        one_ctr[mask] = center
+    # every non-empty subset is one segment: its members, in index order
+    member = ((np.arange(1, full + 1)[:, None] >> np.arange(n)) & 1).astype(bool)
+    subset, index = np.nonzero(member)
+    sizes = member.sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    points, weights = pointset.points[index], pointset.weights[index]
+    one_ctr = _segment_centers(points, weights, starts, z, BRUTE_FORCE_MEDIAN_TOL)
+    dist = np.linalg.norm(points - one_ctr[subset], axis=1)
+    one_cost = [0.0] + np.add.reduceat(weights * dist**z, starts).tolist()
 
     best_prev = list(one_cost)  # at most 1 part
     best_prev[0] = 0.0
@@ -442,11 +515,11 @@ def brute_force_optimal(pointset: WeightedPointSet, k: int, z: int = 2) -> Brute
             part = mask
         else:
             part = parent[j][mask]
-        parts.append(index_cache[part])
+        parts.append(np.flatnonzero(member[part - 1]))
         part_masks.append(part)
         mask ^= part
         j = max(j - 1, 1)
-    centers = np.vstack([one_ctr[m] for m in part_masks])
+    centers = one_ctr[np.array(part_masks) - 1]
     return BruteForceResult(
         cost=float(costs_by_size[k - 1]),
         centers=centers,

@@ -8,6 +8,8 @@ fixed instance to pin the expected scale.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcoreset import (
     ValidationError,
@@ -221,6 +223,22 @@ class TestEngine:
             assert (grown.k, grown.cost, grown.iterations) == (3, 0.0, 0)
             assert np.array_equal(grown.centers[2], run.centers[0])
 
+    def test_heavy_point_and_interior_median_in_one_run(self):
+        # z=1 recenters both clusters in one Weiszfeld pass: one cluster's
+        # median is its heavy data point (coinciding-point test), the
+        # other's lies between its points (gradient test)
+        heavy = [[10.3, -7.1], [11.3, -7.1], [10.3, -6.1], [9.3, -8.1]]
+        light = [[0.0, 0.0], [2.0, 0.1], [0.7, 1.9]]
+        ps = as_set(heavy + light, [10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        res = k_clustering(ps, 2, z=1)
+        assert res.converged
+        a, b = res.assignment[0], res.assignment[4]
+        assert np.array_equal(res.assignment, [a] * 4 + [b] * 3)
+        assert np.array_equal(res.centers[a], heavy[0])
+        diff = res.centers[b] - np.array(light)
+        grad = (diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)
+        assert np.linalg.norm(grad) <= 1e-8  # one_median's default tolerance
+
     def test_coinciding_points_cost_exactly_zero(self):
         # the 1-median of a cluster of coinciding points is that point, not
         # a Weiszfeld iterate an ULP away from it
@@ -228,6 +246,37 @@ class TestEngine:
         res = k_clustering(ps, 2, z=1)
         assert res.cost == 0.0
         assert {tuple(c) for c in res.centers} == {(0.0, 0.0), (3.0, 1.0)}
+
+
+@st.composite
+def clustered_sets(draw):
+    """Small weighted sets on an integer grid, so points often coincide,
+    plus one far point that ends up alone in its cluster."""
+    dim = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)
+    base = draw(st.lists(coords, min_size=3, max_size=8))
+    repeats = draw(st.lists(st.integers(0, len(base) - 1), max_size=3))
+    points = np.array(base + [base[i] for i in repeats] + [[100] * dim], dtype=float)
+    weights = draw(st.lists(st.floats(0.5, 3.0), min_size=len(points), max_size=len(points)))
+    return points, np.array(weights)
+
+
+@pytest.mark.parametrize("z", [1, 2])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=clustered_sets(), k=st.integers(2, 4))
+def test_every_cluster_center_is_its_one_center(z, data, k):
+    pts, w = data
+    res = k_clustering(as_set(pts, w), k, z=z)
+    assert res.converged
+    assert np.sum(res.assignment == res.assignment[-1]) == 1
+    tol = 1e-9 if z == 2 else 1e-7
+    for i in range(res.k):
+        idx = res.cluster_indices(i)
+        if idx.size == 0:
+            continue
+        got = float(w[idx] @ np.linalg.norm(pts[idx] - res.centers[i], axis=1) ** z)
+        _, best = one_center_oracle(pts[idx], w[idx], z)
+        assert abs(got - best) <= tol * (1.0 + best)
 
 
 class TestDoubledRun:
@@ -283,6 +332,14 @@ class TestBruteForce:
         ps = as_set(pts, w)
         got = brute_force_optimal(ps, 2, z=1)
         expected, _ = exhaustive_clustering(pts, w, 2, 1)
+        assert got.cost == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_agrees_with_partition_enumeration_z1_with_duplicates(self, k):
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [3.0, 2.0], [3.0, 2.0], [0.5, 3.0]])
+        w = np.array([1.0, 2.0, 1.5, 0.5, 0.5, 1.0])
+        got = brute_force_optimal(as_set(pts, w), k, z=1)
+        expected, _ = exhaustive_clustering(pts, w, k, 1)
         assert got.cost == pytest.approx(expected, abs=1e-6)
 
     def test_costs_by_size_non_increasing_and_consistent(self):
