@@ -82,25 +82,23 @@ def sensitivity_sample(
 
 
 def farthest_point(pointset: WeightedPointSet, m: int, seed: int = 0) -> Coreset:
-    """Greedy extreme-point selection (good for enclosing-ball queries).
+    """Farthest-first traversal (Gonzalez 1985; good for enclosing-ball queries).
 
     Starts at the point farthest from a randomly chosen one, then repeatedly
-    adds the point farthest from the running center estimate, nudging the
-    estimate toward each new point by 1/(t+1).  Selected points share the
-    total weight equally.
+    adds the point farthest from everything selected so far, so m distinct
+    points come back whenever the data holds m distinct points.  Selected
+    points share the total weight equally.
     """
     if m < 1:
         raise ValidationError("coreset size must be >= 1")
     rng = np.random.default_rng(seed)
     points = pointset.points
     start = int(rng.integers(pointset.size))
-    first = int(np.argmax(np.linalg.norm(points - points[start], axis=1)))
-    selected = [first]
-    center = points[first].astype(float).copy()
-    for t in range(1, m):
-        far = int(np.argmax(np.linalg.norm(points - center, axis=1)))
-        selected.append(far)
-        center += (points[far] - center) / (t + 1)
+    selected = [int(np.argmax(np.linalg.norm(points - points[start], axis=1)))]
+    nearest = np.linalg.norm(points - points[selected[0]], axis=1)  # to the nearest selected
+    for _ in range(1, m):
+        selected.append(int(np.argmax(nearest)))
+        np.minimum(nearest, np.linalg.norm(points - points[selected[-1]], axis=1), out=nearest)
     idx, w = _collapse(np.array(selected), np.full(m, pointset.total_weight / m))
     return Coreset(
         pointset.points[idx], w,

@@ -18,8 +18,7 @@ import sys
 import click
 
 from . import __version__
-from .coreset import load_coreset, rcc, rcc_fixed_size
-from .baselines import farthest_point, sensitivity_sample, uniform_sample
+from .coreset import load_coreset
 from .data import (
     ShardSpec,
     load_dataset,
@@ -29,7 +28,7 @@ from .data import (
 )
 from .distributed import drcc
 from .errors import KcoresetError, ValidationError
-from .harness import evaluate_coreset, run_benchmark
+from .harness import construct_coreset, evaluate_coreset, run_benchmark
 from .problems import make_problem
 
 CONSTRUCT_ALGOS = ("rcc", "rcc-fixed", "uniform", "sensitivity", "farthest")
@@ -97,21 +96,12 @@ def construct(dataset, algo, size, eps, rho, z, k, seed, out, weight_column,
     pointset = _load(dataset, weight_column, label_column, normalize)
     if positive_label is not None:
         pointset = with_svm_labels(pointset, positive_label)
-    if algo == "rcc":
-        if eps is None:
-            raise ValidationError("--eps is required for --algo rcc")
-        coreset = rcc(pointset, eps=eps, rho=rho, z=z, seed=seed)
-    else:
-        if size is None:
-            raise ValidationError(f"--size is required for --algo {algo}")
-        if algo == "rcc-fixed":
-            coreset = rcc_fixed_size(pointset, size, z=z, seed=seed, rho=rho)
-        elif algo == "uniform":
-            coreset = uniform_sample(pointset, size, seed=seed)
-        elif algo == "sensitivity":
-            coreset = sensitivity_sample(pointset, size, k=k, seed=seed)
-        else:
-            coreset = farthest_point(pointset, size, seed=seed)
+    if algo == "rcc" and eps is None:
+        raise ValidationError("--eps is required for --algo rcc")
+    if algo != "rcc" and size is None:
+        raise ValidationError(f"--size is required for --algo {algo}")
+    spec = {"kind": algo.replace("-", "_"), "eps": eps, "rho": rho, "z": z, "k": k}
+    coreset = construct_coreset(spec, pointset, size, seed)
     coreset.save(out)
     _echo_json({
         "algorithm": algo,

@@ -13,10 +13,12 @@ is its one-segment call, and ``brute_force_optimal`` solves all subsets
 in one call.
 
 Initialization is recursive: a 2m-center run starts from the union of
-per-cluster 2-center solutions of an m-center run, and every 2-center run
-starts from the cluster's center in the m-center run (its 1-center, once
-that run has converged) plus its most expensive point.  This ordering
-makes the reported costs satisfy, by construction,
+per-cluster 2-center solutions of an m-center run.  The split scores every
+point once against its center in the m-center run (that cluster's
+1-center, once the run has converged), sorts the points by cluster once,
+and runs one Lloyd solve per cluster from {its center, its most expensive
+point}; a cluster that is empty or already at cost 0 keeps its center
+twice.  This ordering makes the reported costs satisfy, by construction,
 
   * each returned center is a (near-)optimal 1-center of its cluster,
   * cost(P, 2k centers) <= sum of the per-cluster 2-center costs,
@@ -51,11 +53,6 @@ def assign_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(cdist(points, np.atleast_2d(centers)), axis=1)
 
 
-def _cost_arrays(points, weights, centers, z) -> float:
-    d = cdist(points, np.atleast_2d(centers)).min(axis=1)
-    return float(weights @ d**z)
-
-
 def clustering_cost(pointset: WeightedPointSet, centers: np.ndarray, z: int = 2) -> float:
     """Weighted z-power distance cost of a center set on a point set."""
     _validate_z(z)
@@ -64,29 +61,24 @@ def clustering_cost(pointset: WeightedPointSet, centers: np.ndarray, z: int = 2)
         raise ValidationError(
             f"centers have dim {centers.shape[1]}, points have dim {pointset.dim}"
         )
-    return _cost_arrays(pointset.points, pointset.weights, centers, z)
+    return _cost_and_assignment(pointset.points, pointset.weights, centers, z)[0]
 
 
-def weighted_geometric_median(
-    points: np.ndarray,
-    weights: np.ndarray,
-    tol: float = DEFAULT_MEDIAN_TOL,
-    init: np.ndarray | None = None,
-) -> np.ndarray:
+def weighted_geometric_median(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted geometric median by damped Weiszfeld iteration.
 
-    Starts from the weighted mean (or ``init``) and stops when the gradient
-    of sum_p w_p*||p - y|| has norm <= tol, when an iteration leaves the
-    iterate unchanged, or, if the iterate coincides with a data point, when
-    that point satisfies the local optimality test (pull of the remaining
-    points no larger than the point's own weight); the data point itself is
-    then returned.  This is the one-segment call of the solver that Lloyd
-    iteration and :func:`brute_force_optimal` run on many clusters at once.
+    Starts from the weighted mean and stops when the gradient of
+    sum_p w_p*||p - y|| has norm <= DEFAULT_MEDIAN_TOL, when an iteration
+    leaves the iterate unchanged, or, if the iterate coincides with a data
+    point, when that point satisfies the local optimality test (pull of the
+    remaining points no larger than the point's own weight); the data point
+    itself is then returned.  This is the one-segment call of the solver
+    that Lloyd iteration and :func:`brute_force_optimal` run on many
+    clusters at once.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    init = None if init is None else np.asarray(init, dtype=float)[None, :]
-    return _segment_centers(points, weights, np.zeros(1, dtype=np.intp), 1, tol, init)[0]
+    return _segment_centers(points, weights, np.zeros(1, dtype=np.intp), 1)[0]
 
 
 def _segment_centers(points, weights, starts, z, tol=DEFAULT_MEDIAN_TOL, init=None):
@@ -171,20 +163,16 @@ def _weiszfeld(points, weights, starts, init, tol):
     return out
 
 
-def _one_center(points, weights, z, median_tol=DEFAULT_MEDIAN_TOL):
-    """Optimal (z=2) or near-optimal (z=1) single center with its cost."""
-    center = _segment_centers(points, weights, np.zeros(1, dtype=np.intp), z, median_tol)[0]
-    return center, _cost_arrays(points, weights, center[None, :], z)
-
-
 def one_mean(pointset: WeightedPointSet) -> tuple[np.ndarray, float]:
     """Weighted mean and its squared-distance cost (optimal 1-center, z=2)."""
-    return _one_center(pointset.points, pointset.weights, 2)
+    run = _single_center(pointset.points, pointset.weights, 2)
+    return run.centers[0], run.cost
 
 
 def one_median(pointset: WeightedPointSet, tol: float = DEFAULT_MEDIAN_TOL) -> tuple[np.ndarray, float]:
     """Weighted geometric median and its distance cost (1-center, z=1)."""
-    return _one_center(pointset.points, pointset.weights, 1, median_tol=tol)
+    run = _single_center(pointset.points, pointset.weights, 1, tol)
+    return run.centers[0], run.cost
 
 
 @dataclass
@@ -281,23 +269,9 @@ def _trivial_result(points, weights, centers, z) -> ClusteringResult:
     )
 
 
-def _single_center(points, weights, z) -> ClusteringResult:
-    center, cost = _one_center(points, weights, z)
-    return ClusteringResult(
-        centers=center[None, :], assignment=np.zeros(points.shape[0], dtype=np.int64),
-        cost=cost, z=z, iterations=0, converged=True, cost_history=[cost],
-    )
-
-
-def _add_costliest(points, weights, run: ClusteringResult) -> ClusteringResult:
-    # array form of add_costliest_point: the split recursion calls it per
-    # cluster without building a validated point set for each one
-    d = np.linalg.norm(points - run.centers[run.assignment], axis=1)
-    scores = weights * d**run.z
-    j = int(np.argmax(scores))
-    if scores[j] <= 0:
-        return _trivial_result(points, weights, np.vstack([run.centers, run.centers[0]]), run.z)
-    return _lloyd(points, weights, np.vstack([run.centers, points[j]]), run.z)
+def _single_center(points, weights, z, tol=DEFAULT_MEDIAN_TOL) -> ClusteringResult:
+    center = _segment_centers(points, weights, np.zeros(1, dtype=np.intp), z, tol)
+    return _trivial_result(points, weights, center, z)
 
 
 def add_costliest_point(pointset: WeightedPointSet, run: ClusteringResult) -> ClusteringResult:
@@ -307,7 +281,13 @@ def add_costliest_point(pointset: WeightedPointSet, run: ClusteringResult) -> Cl
     point already sits on its center, the result is the zero-cost run with
     ``run.centers[0]`` duplicated and no iterations.
     """
-    return _add_costliest(pointset.points, pointset.weights, run)
+    points, weights = pointset.points, pointset.weights
+    d = np.linalg.norm(points - run.centers[run.assignment], axis=1)
+    scores = weights * d**run.z
+    j = int(np.argmax(scores))
+    if scores[j] <= 0:
+        return _trivial_result(points, weights, np.vstack([run.centers, run.centers[0]]), run.z)
+    return _lloyd(points, weights, np.vstack([run.centers, points[j]]), run.z)
 
 
 class _Recursion:
@@ -361,21 +341,27 @@ def _split_init(points, weights, base: ClusteringResult):
     """2-center solutions of every cluster of ``base``; returns (centers, costs).
 
     Each cluster's 2-center run is seeded with {its center in ``base``, its
-    most expensive point}.  The center of a converged run already is its
-    cluster's 1-center, so it is not solved again.
+    most expensive point}: add_costliest_point on the cluster's 1-center
+    run, whose center is the one in ``base`` (a converged run's center
+    already is its cluster's 1-center, so it is not solved again).  Sorted
+    by cluster, stably, each cluster is one segment in index order.
     """
-    init, split_costs = [], []
-    for i in range(base.k):
-        idx = base.cluster_indices(i)
-        if idx.size == 0:
-            init.append(np.vstack([base.centers[i], base.centers[i]]))
-            split_costs.append(0.0)
+    z = base.z
+    order = np.argsort(base.assignment, kind="stable")
+    points, weights = points[order], weights[order]
+    gaps = points - base.centers[base.assignment[order]]
+    scores = weights * np.linalg.norm(gaps, axis=1) ** z
+    counts = np.bincount(base.assignment, minlength=base.k)
+    ends = np.cumsum(counts)
+    init, split_costs = np.repeat(base.centers, 2, axis=0), np.zeros(base.k)
+    for i, (start, end) in enumerate(zip(ends - counts, ends)):
+        if start == end:
             continue
-        pts, wts = points[idx], weights[idx]
-        sub = _add_costliest(pts, wts, _trivial_result(pts, wts, base.centers[i], base.z))
-        init.append(sub.centers)
-        split_costs.append(sub.cost)
-    return np.vstack(init), np.array(split_costs)
+        j = start + int(np.argmax(scores[start:end]))
+        if scores[j] > 0:
+            sub = _lloyd(points[start:end], weights[start:end], [base.centers[i], points[j]], z)
+            init[2 * i : 2 * i + 2], split_costs[i] = sub.centers, sub.cost
+    return init, split_costs
 
 
 def k_clustering(

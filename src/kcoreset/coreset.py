@@ -29,6 +29,7 @@ from .clustering import (
     ClusteringResult,
     DoubledRun,
     extend_to_doubled,
+    k_clustering,
     k_clustering_doubled,
 )
 from .data import WeightedPointSet, load_points_and_weights, save_pointset
@@ -103,18 +104,17 @@ class Coreset:
         """Clamp negative weights to zero, rescaling to preserve total weight.
 
         Returns the usable point set and a flag saying whether clamping
-        actually changed anything.
+        actually changed anything.  A total weight <= 0 cannot be preserved
+        and raises ValidationError.
         """
         if np.all(self.weights > 0):
             return WeightedPointSet(self.points, self.weights), False
+        total = self.total_weight
+        if not total > 0:
+            raise ValidationError(f"coreset total weight {total:.6g} is not positive")
         keep = self.weights > 0
-        if not keep.any():
-            raise ValidationError("coreset has no positive-weight points")
         kept = self.weights[keep]
-        scale = self.total_weight / kept.sum() if kept.sum() > 0 else 1.0
-        if scale <= 0:
-            scale = 1.0
-        return WeightedPointSet(self.points[keep], kept * scale), True
+        return WeightedPointSet(self.points[keep], kept * (total / kept.sum())), True
 
     def save(self, prefix: str) -> tuple[str, str]:
         """Write ``<prefix>.csv`` (points + weights) and ``<prefix>.json`` (metadata)."""
@@ -222,13 +222,12 @@ def rcc_fixed_size(
 
     When ``certify`` is set, the 2k-center continuation is run to compute
     the error certificate, and the coreset's eps_bound is the realized
-    max-distance bound (the tighter of the two certified values).
+    max-distance bound (the tighter of the two certified values); without
+    it only the k-center run is computed.
     """
-    if not 1 <= k <= pointset.size:
-        raise ValidationError(f"k must be in [1, {pointset.size}], got {k}")
-    run = k_clustering_doubled(pointset, k, z=z, seed=seed)
+    run = k_clustering(pointset, k, z=z, seed=seed)
     coreset = coreset_from_run(
-        pointset, run.base,
+        pointset, run,
         provenance={"algorithm": "rcc_fixed", "seed": seed, "rho": rho},
     )
     if certify:

@@ -32,6 +32,10 @@ from .data import WeightedPointSet
 from .errors import ValidationError
 
 PROBLEM_NAMES = ("meb", "kmeans", "kmedian", "pca", "svm")
+PCA_TOL = 1e-8
+PCA_MAX_ITER = 10000
+SVM_LAM = 1e-4
+SVM_EPOCHS = 200
 
 
 @dataclass(frozen=True)
@@ -99,11 +103,10 @@ def make_problem(
     l: int = 2,
     delta: float | None = None,
     positive_label: str | None = None,
-    meb_tol: float = 1e-3,
 ) -> MLProblem:
     """Build an MLProblem with its aggregation mode and Lipschitz constant."""
     if name == "meb":
-        return MLProblem(name, "max", 1.0, {"tol": meb_tol})
+        return MLProblem(name, "max", 1.0, {})
     if name == "kmedian":
         return MLProblem(name, "sum", 1.0, {"k": k})
     if name == "kmeans":
@@ -117,7 +120,7 @@ def make_problem(
     raise ValidationError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
 
 
-def meb_solve(pointset: WeightedPointSet, tol: float = 1e-3, max_iter: int | None = None) -> MebModel:
+def meb_solve(pointset: WeightedPointSet, tol: float = 1e-3) -> MebModel:
     """Minimum enclosing ball, (1+tol)-approximate.
 
     Frank-Wolfe iteration on the ball-center: repeatedly shift the center
@@ -130,8 +133,7 @@ def meb_solve(pointset: WeightedPointSet, tol: float = 1e-3, max_iter: int | Non
     n = points.shape[0]
     if n == 1:
         return MebModel(center=points[0].copy(), radius=0.0)
-    if max_iter is None:
-        max_iter = int(math.ceil(1.0 / tol**2))
+    max_iter = int(math.ceil(1.0 / tol**2))
     sq = (points**2).sum(axis=1)
     a = int(np.argmax(((points - points[0]) ** 2).sum(axis=1)))
     b = int(np.argmax(((points - points[a]) ** 2).sum(axis=1)))
@@ -155,17 +157,11 @@ def meb_solve(pointset: WeightedPointSet, tol: float = 1e-3, max_iter: int | Non
     return MebModel(center=center, radius=radius)
 
 
-def pca_solve(
-    pointset: WeightedPointSet,
-    l: int,
-    tol: float = 1e-8,
-    max_iter: int = 10000,
-    seed: int = 0,
-) -> PcaModel:
+def pca_solve(pointset: WeightedPointSet, l: int, seed: int = 0) -> PcaModel:
     """Top-l subspace of the weighted second-moment matrix (no centering).
 
     Subspace power iteration with QR re-orthonormalization, stopped when
-    the frame is invariant to relative residual tol.
+    the frame is invariant to relative residual PCA_TOL.
     """
     d = pointset.dim
     if not 1 <= l <= d:
@@ -177,31 +173,25 @@ def pca_solve(
         return PcaModel(frame=np.eye(d)[:, :l])
     rng = np.random.default_rng(seed)
     frame, _ = np.linalg.qr(rng.standard_normal((d, l)))
-    for _ in range(max_iter):
+    for _ in range(PCA_MAX_ITER):
         product = moment @ frame
         frame, _ = np.linalg.qr(product)
         product = moment @ frame
         residual = product - frame @ (frame.T @ product)
-        if np.linalg.norm(residual) <= tol * norm:
+        if np.linalg.norm(residual) <= PCA_TOL * norm:
             break
     return PcaModel(frame=frame)
 
 
-def svm_train(
-    pointset: WeightedPointSet,
-    lam: float = 1e-4,
-    epochs: int = 200,
-    seed: int = 0,
-) -> SvmModel:
+def svm_train(pointset: WeightedPointSet) -> SvmModel:
     """Linear binary classifier by full-batch subgradient descent on the hinge loss.
 
     The last coordinate of each point is the margin multiplier (nominally
-    +/-1; fractional values from averaged coreset points are fine).  Uses
-    step 1/(lam*t), projection onto the ball of radius 1/sqrt(lam), and
-    returns the average of the iterates.  Deterministic; ``seed`` is kept
-    for interface uniformity.
+    +/-1; fractional values from averaged coreset points are fine).  Runs
+    SVM_EPOCHS steps of size 1/(SVM_LAM*t), projects onto the ball of
+    radius 1/sqrt(SVM_LAM), and returns the average of the iterates.
+    Deterministic.
     """
-    del seed
     features = pointset.points[:, :-1]
     y = pointset.points[:, -1]
     if np.abs(y).max() > 1.0 + 1e-9:
@@ -217,17 +207,17 @@ def svm_train(
     wn = pointset.weights / pointset.total_weight
     v = np.zeros(design.shape[1])
     avg = np.zeros_like(v)
-    cap = 1.0 / math.sqrt(lam)
-    for t in range(1, epochs + 1):
+    cap = 1.0 / math.sqrt(SVM_LAM)
+    for t in range(1, SVM_EPOCHS + 1):
         margins = y * (design @ v)
         active = margins < 1.0
-        grad = lam * v - (wn[active] * y[active]) @ design[active]
-        v = v - grad / (lam * t)
+        grad = SVM_LAM * v - (wn[active] * y[active]) @ design[active]
+        v = v - grad / (SVM_LAM * t)
         norm = np.linalg.norm(v)
         if norm > cap:
             v = v * (cap / norm)
         avg += v
-    avg /= epochs
+    avg /= SVM_EPOCHS
     return SvmModel(coef=avg[:-1], offset=float(avg[-1]))
 
 
@@ -255,7 +245,7 @@ def problem_cost(problem: MLProblem, data, model) -> float:
 def solve_problem(problem: MLProblem, pointset: WeightedPointSet, seed: int = 0):
     """Train the problem's model on a weighted point set."""
     if problem.name == "meb":
-        return meb_solve(pointset, tol=problem.params.get("tol", 1e-3))
+        return meb_solve(pointset)
     if problem.name in ("kmeans", "kmedian"):
         k = problem.params["k"]
         if k > pointset.size:
@@ -268,7 +258,7 @@ def solve_problem(problem: MLProblem, pointset: WeightedPointSet, seed: int = 0)
     if problem.name == "pca":
         return pca_solve(pointset, problem.params["l"], seed=seed)
     if problem.name == "svm":
-        return svm_train(pointset, seed=seed)
+        return svm_train(pointset)
     raise ValidationError(f"unknown problem {problem.name!r}")
 
 

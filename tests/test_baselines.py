@@ -8,7 +8,9 @@ from kcoreset import (
     ValidationError,
     WeightedPointSet,
     farthest_point,
+    normalize_features,
     sensitivity_sample,
+    synthetic_blobs,
     uniform_sample,
 )
 
@@ -166,6 +168,15 @@ class TestFarthestPoint:
         sel_spread = cdist(coreset.points, coreset.points)
         np.fill_diagonal(sel_spread, np.inf)
         assert sel_spread.min() > gaps.max() / 4
+
+    def test_m_distinct_points_whenever_the_data_has_them(self):
+        blobs = normalize_features(synthetic_blobs(300, 4, 3, seed=0))
+        for m in (5, 20, 40):
+            assert farthest_point(blobs, m, seed=0).size == m
+        # 9 distinct grid points under many duplicates
+        grid = as_set(np.random.default_rng(3).integers(0, 3, size=(60, 2)))
+        coreset = farthest_point(grid, 9, seed=2)
+        assert len(np.unique(coreset.points, axis=0)) == 9
 
     def test_size_validated(self):
         with pytest.raises(ValidationError):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcoreset import (
+    ClusteringResult,
     ValidationError,
     WeightedPointSet,
     add_costliest_point,
@@ -22,6 +23,7 @@ from kcoreset import (
     k_clustering_doubled,
     one_mean,
     one_median,
+    synthetic_blobs,
     weighted_geometric_median,
 )
 from oracles import (
@@ -304,6 +306,39 @@ class TestDoubledRun:
         run = k_clustering_doubled(ps, 5, z=2, seed=0)
         assert run.doubled.cost == 0.0
         assert run.doubled.k == ps.size
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_split_costs_match_growing_each_clusters_one_center_run(self, z):
+        # reference: add_costliest_point on the 1-center run of each cluster
+        # at its center in the base run; an empty cluster's split costs 0
+        rng = np.random.default_rng(17)
+        grids = [
+            as_set(rng.integers(0, side, size=(40, 2)), rng.integers(1, 4, size=40))
+            for side in (2, 3, 3)
+        ]
+        sets = grids + [synthetic_blobs(120, 3, 3, seed=s) for s in (0, 1)]
+        seen_empty = seen_zero = 0
+        for ps in sets:
+            for k in (2, 3, 5, 8):
+                run = k_clustering_doubled(ps, k, z=z, seed=1)
+                base = run.base
+                for i in range(base.k):
+                    idx = base.cluster_indices(i)
+                    if idx.size == 0:
+                        seen_empty += 1
+                        assert run.split_costs[i] == 0.0
+                        continue
+                    part = WeightedPointSet(ps.points[idx], ps.weights[idx])
+                    center = base.centers[i : i + 1]
+                    one = ClusteringResult(
+                        centers=center, assignment=np.zeros(idx.size, dtype=np.intp),
+                        cost=clustering_cost(part, center, z), z=z,
+                        iterations=0, converged=True,
+                    )
+                    expected = add_costliest_point(part, one).cost
+                    seen_zero += expected == 0.0
+                    assert run.split_costs[i] == expected
+        assert seen_empty and seen_zero
 
 
 class TestBruteForce:

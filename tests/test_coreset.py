@@ -135,6 +135,19 @@ class TestFixedSize:
         coreset = rcc_fixed_size(ps, 5, certify=False)
         assert coreset.certificate is None and coreset.eps_bound is None
 
+    def test_certify_false_runs_no_doubled_clustering(self, monkeypatch):
+        ps = spread_set(7)
+        certified = rcc_fixed_size(ps, 5, z=1, seed=3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the 2k-center run is not needed without a certificate")
+
+        monkeypatch.setattr("kcoreset.clustering.extend_to_doubled", refuse)
+        monkeypatch.setattr("kcoreset.coreset.extend_to_doubled", refuse)
+        plain = rcc_fixed_size(ps, 5, z=1, seed=3, certify=False)
+        assert np.array_equal(plain.points, certified.points)
+        assert np.array_equal(plain.weights, certified.weights)
+
     def test_rho_scales_bound(self):
         ps = spread_set(8)
         a = rcc_fixed_size(ps, 6, seed=1, rho=1.0)
@@ -309,6 +322,13 @@ class TestNegativeWeights:
         coreset = Coreset(np.eye(2), np.array([-1.0, -2.0]), {})
         with pytest.raises(ValidationError):
             coreset.nonnegative_pointset()
+
+    def test_nonpositive_total_weight_rejected(self):
+        # clamping cannot preserve a total of -1 (or 0), so no silent rescale
+        for weights in ([2.0, -3.0], [2.0, -2.0]):
+            coreset = Coreset(np.eye(2), np.array(weights), {})
+            with pytest.raises(ValidationError, match="total weight"):
+                coreset.nonnegative_pointset()
 
     def test_weight_shape_checked(self):
         with pytest.raises(ValidationError):
