@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clustering import assign_to_centers, k_clustering
+from .clustering import k_clustering
 from .coreset import Coreset
 from .data import WeightedPointSet
 from .errors import ValidationError

@@ -3,22 +3,26 @@
 The cost of a center set Q on a weighted point set is
 ``sum_p w_p * (min_{q in Q} ||p - q||)^z`` with z = 2 (k-means) or
 z = 1 (k-median).  The solver is Lloyd iteration over weighted 1-center
-steps.  Each Lloyd pass works on whole arrays: one distance matrix gives
-the cost, the new assignment and the restart of empty centers, and the
-points sorted by cluster make every cluster one contiguous segment, so
-all clusters are recentered at once: z=2 by segmented weighted sums, z=1
-by one Weiszfeld solver that advances every segment's iterate together.
-That solver is also the only 1-median code: ``weighted_geometric_median``
-is its one-segment call, and ``brute_force_optimal`` solves all subsets
-in one call.
+steps, run on many independent problems at once: each problem is a
+contiguous row segment with its own centers.  Each Lloyd pass works on
+whole arrays: one distance computation gives every problem's cost, new
+assignment and restart of empty centers, and the rows sorted by (problem,
+cluster) make every cluster one contiguous segment, so all clusters of all
+problems are recentered at once: z=2 by segmented weighted sums, z=1 by one
+Weiszfeld solver that advances every segment's iterate together.  A problem
+stops on its own, and its rows drop out.  A single problem is the plain
+k-center run.  The Weiszfeld solver is also the only 1-median code:
+``weighted_geometric_median`` is its one-segment call, and
+``brute_force_optimal`` solves all subsets in one call.
 
 Initialization is recursive: a 2m-center run starts from the union of
 per-cluster 2-center solutions of an m-center run.  The split scores every
 point once against its center in the m-center run (that cluster's
 1-center, once the run has converged), sorts the points by cluster once,
-and runs one Lloyd solve per cluster from {its center, its most expensive
-point}; a cluster that is empty or already at cost 0 keeps its center
-twice.  This ordering makes the reported costs satisfy, by construction,
+and solves every cluster's 2-center run from {its center, its most
+expensive point} as one problem of a single Lloyd call; a cluster that is
+empty or already at cost 0 keeps its center twice.  This ordering makes
+the reported costs satisfy, by construction,
 
   * each returned center is a (near-)optimal 1-center of its cluster,
   * cost(P, 2k centers) <= sum of the per-cluster 2-center costs,
@@ -30,6 +34,7 @@ which is what the coreset size search and the error certificates rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -61,7 +66,7 @@ def clustering_cost(pointset: WeightedPointSet, centers: np.ndarray, z: int = 2)
         raise ValidationError(
             f"centers have dim {centers.shape[1]}, points have dim {pointset.dim}"
         )
-    return _cost_and_assignment(pointset.points, pointset.weights, centers, z)[0]
+    return _trivial_result(pointset.points, pointset.weights, centers, z).cost
 
 
 def weighted_geometric_median(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -200,15 +205,50 @@ class ClusteringResult:
         return np.flatnonzero(self.assignment == i)
 
 
-def _cost_and_assignment(points, weights, centers, z, empty=()):
-    """Cost and nearest-center assignment, both from one distance matrix.
+def _cost_and_assignment(points, weights, centers, sizes, z, empty=()):
+    """Per-problem costs and nearest-center assignment from one distance array.
 
-    Each center listed in ``empty`` first restarts, in place, at the
-    currently most expensive point, unless that would not lower the cost.
+    The rows are consecutive problems: problem p is the next sizes[p] rows,
+    with its own centers[p] (``centers`` has shape (problems, c, dim)).  A
+    row is measured only against its own problem's centers, and its
+    assignment indexes them.  Each center listed in ``empty``, as p*c + i
+    in ascending order, first restarts in place at its problem's currently
+    most expensive row, unless that would raise the problem's cost.
     """
-    dist = cdist(points, centers)
+    dist = _own_distances(points, centers, sizes)
+    nz = dist.min(axis=1) ** z
+    ends = np.cumsum(sizes)
+    costs = [float(weights[s:e] @ nz[s:e]) for s, e in zip(ends - sizes, ends)]
+    c = centers.shape[1]
+    for p, group in groupby(empty, key=lambda i: i // c):
+        rows = slice(ends[p] - sizes[p], ends[p])
+        costs[p] = _restart(points[rows], weights[rows], dist[rows], costs[p], centers[p],
+                            [i % c for i in group], z)
+    return costs, dist.argmin(axis=1)
+
+
+def _own_distances(points, centers, sizes):
+    """Distance of each row to each center of its own problem, shape (rows, c)."""
+    if len(sizes) == 1:
+        return cdist(points, centers[0])
+    # cdist's bits: square the coordinate differences and add them up in
+    # coordinate order, which a sum over axis 0 of a (dim, rows) array does
+    dist = np.empty((points.shape[0], centers.shape[1]))
+    for i in range(centers.shape[1]):
+        diff = np.repeat(centers[:, i].T, sizes, axis=1)
+        np.subtract(points.T, diff, out=diff)
+        diff *= diff
+        np.sqrt(diff.sum(axis=0), out=dist[:, i])
+    return dist
+
+
+def _restart(points, weights, dist, cost, centers, empty, z):
+    """Move each center in ``empty`` to the costliest row, unless the cost rises.
+
+    ``dist`` (rows x centers) and ``centers`` are updated in place; returns
+    the cost after the moves.
+    """
     nearest = dist.min(axis=1)
-    cost = float(weights @ nearest**z)
     for i in empty:
         scores = weights * nearest**z
         j = int(np.argmax(scores))
@@ -223,49 +263,80 @@ def _cost_and_assignment(points, weights, centers, z, empty=()):
         else:
             centers[i] = points[j]
             nearest, cost = moved, moved_cost
-    return cost, dist.argmin(axis=1)
+    return cost
 
 
 def _lloyd(points, weights, init_centers, z) -> ClusteringResult:
+    """Lloyd iteration from ``init_centers``: one problem of _lloyd_problems."""
     centers = np.atleast_2d(np.array(init_centers, dtype=float))
-    k = centers.shape[0]
-    cost, assign = _cost_and_assignment(points, weights, centers, z)
-    history = [cost]
-    converged = False
-    iterations = 0
+    return _lloyd_problems(points, weights, np.zeros(1, dtype=np.intp), centers[None], z)[0]
+
+
+def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
+    """Lloyd iteration on many independent problems at once; one result each.
+
+    Problem p is the non-empty row segment that begins at starts[p] (the
+    last one runs to the end), clustered around its own c centers
+    ``init_centers[p]``.  A pass recenters every (problem, center) cluster
+    in one _segment_centers call, restarts each problem's empty centers at
+    that problem's own costliest row, and assigns each row to the nearest
+    center of its own problem.  Each problem stops when its assignment no
+    longer changes or after LLOYD_MAX_ITER passes; a finished problem's
+    rows are dropped.
+    """
+    centers = np.array(init_centers, dtype=float)
+    n_problems, c, dim = centers.shape
+    sizes = np.diff(np.append(starts, points.shape[0]))
+    live = np.arange(n_problems)  # the input problem of each entry of ``centers``
+    costs, assign = _cost_and_assignment(points, weights, centers, sizes, z)
+    histories = [[cost] for cost in costs]
+    results = [None] * n_problems
+    starts, offset = np.cumsum(sizes) - sizes, np.repeat(live * c, sizes)
     for iterations in range(1, LLOYD_MAX_ITER + 1):
-        # recenter every cluster at once: sorted by cluster, each is one segment
-        order = np.argsort(assign, kind="stable")
-        counts = np.bincount(assign, minlength=k)
+        # recenter every cluster at once: rows sorted by (problem, center)
+        # make each one segment
+        key = assign + offset
+        order = np.argsort(key, kind="stable")
+        counts = np.bincount(key, minlength=live.size * c)
         filled = counts > 0
-        starts = (np.cumsum(counts) - counts)[filled]
-        centers[filled] = _segment_centers(
-            points[order], weights[order], starts, z, init=centers[filled]
+        flat = centers.reshape(-1, dim)
+        flat[filled] = _segment_centers(
+            points[order], weights[order], (np.cumsum(counts) - counts)[filled], z,
+            init=flat[filled],
         )
-        empty = np.flatnonzero(~filled)
-        cost, new_assign = _cost_and_assignment(points, weights, centers, z, empty)
-        history.append(cost)
-        if np.array_equal(new_assign, assign):
-            converged = True
-            break
+        costs, new_assign = _cost_and_assignment(
+            points, weights, centers, sizes, z, np.flatnonzero(~filled)
+        )
+        for p, cost in zip(live, costs):
+            histories[p].append(cost)
+        converged = ~np.logical_or.reduceat(new_assign != assign, starts)
         assign = new_assign
-    return ClusteringResult(
-        centers=centers,
-        assignment=assign,
-        cost=history[-1],
-        z=z,
-        iterations=iterations,
-        converged=converged,
-        cost_history=history,
-    )
+        done = converged | (iterations == LLOYD_MAX_ITER)
+        if not done.any():
+            continue
+        for i in np.flatnonzero(done):
+            p = live[i]
+            results[p] = ClusteringResult(
+                centers=centers[i], assignment=assign[starts[i] : starts[i] + sizes[i]],
+                cost=costs[i], z=z, iterations=iterations, converged=bool(converged[i]),
+                cost_history=histories[p],
+            )
+        if done.all():
+            break
+        keep = ~done
+        rows = np.repeat(keep, sizes)
+        points, weights, assign = points[rows], weights[rows], assign[rows]
+        centers, sizes, live = centers[keep], sizes[keep], live[keep]
+        starts, offset = np.cumsum(sizes) - sizes, np.repeat(np.arange(live.size) * c, sizes)
+    return results
 
 
 def _trivial_result(points, weights, centers, z) -> ClusteringResult:
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    cost, assign = _cost_and_assignment(points, weights, centers, z)
+    costs, assign = _cost_and_assignment(points, weights, centers[None], [points.shape[0]], z)
     return ClusteringResult(
-        centers=centers, assignment=assign, cost=cost, z=z,
-        iterations=0, converged=True, cost_history=[cost],
+        centers=centers, assignment=assign, cost=costs[0], z=z,
+        iterations=0, converged=True, cost_history=costs,
     )
 
 
@@ -344,7 +415,9 @@ def _split_init(points, weights, base: ClusteringResult):
     most expensive point}: add_costliest_point on the cluster's 1-center
     run, whose center is the one in ``base`` (a converged run's center
     already is its cluster's 1-center, so it is not solved again).  Sorted
-    by cluster, stably, each cluster is one segment in index order.
+    by cluster, stably, each cluster is one segment in index order, and all
+    the runs are one _lloyd_problems call; an empty or zero-cost cluster
+    keeps its center twice at cost 0.
     """
     z = base.z
     order = np.argsort(base.assignment, kind="stable")
@@ -352,15 +425,23 @@ def _split_init(points, weights, base: ClusteringResult):
     gaps = points - base.centers[base.assignment[order]]
     scores = weights * np.linalg.norm(gaps, axis=1) ** z
     counts = np.bincount(base.assignment, minlength=base.k)
-    ends = np.cumsum(counts)
     init, split_costs = np.repeat(base.centers, 2, axis=0), np.zeros(base.k)
-    for i, (start, end) in enumerate(zip(ends - counts, ends)):
-        if start == end:
-            continue
-        j = start + int(np.argmax(scores[start:end]))
-        if scores[j] > 0:
-            sub = _lloyd(points[start:end], weights[start:end], [base.centers[i], points[j]], z)
-            init[2 * i : 2 * i + 2], split_costs[i] = sub.centers, sub.cost
+    # each cluster's costliest point, the first one on ties
+    filled = counts > 0
+    starts = (np.cumsum(counts) - counts)[filled]
+    top = np.zeros(base.k)
+    top[filled] = np.maximum.reduceat(scores, starts)
+    split = top > 0
+    n = scores.size
+    first = np.where(scores == np.repeat(top, counts), np.arange(n), n)
+    costliest = np.minimum.reduceat(first, starts)[split[filled]]
+    if split.any():
+        rows = np.repeat(split, counts)
+        sizes = counts[split]
+        seeds = np.stack([base.centers[split], points[costliest]], axis=1)
+        runs = _lloyd_problems(points[rows], weights[rows], np.cumsum(sizes) - sizes, seeds, z)
+        init.reshape(base.k, 2, -1)[split] = [run.centers for run in runs]
+        split_costs[split] = [run.cost for run in runs]
     return init, split_costs
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcoreset import clustering
 from kcoreset import (
     ClusteringResult,
     ValidationError,
@@ -339,6 +340,37 @@ class TestDoubledRun:
                     seen_zero += expected == 0.0
                     assert run.split_costs[i] == expected
         assert seen_empty and seen_zero
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_split_costs_match_under_a_pass_cap(self, monkeypatch, z, max_iter):
+        # all splits of a level share one Lloyd call, yet each stops on its
+        # own convergence or its own pass cap, as its one-problem run does
+        monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", max_iter)
+        self.test_split_costs_match_growing_each_clusters_one_center_run(z)
+
+
+class TestLloydProblems:
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_empty_center_restarts_at_its_own_problems_costliest_row(self, monkeypatch, z):
+        # problem 0's second center starts far from its rows, so it is empty
+        # after the first assignment; problem 1's rows cost far more, so the
+        # costliest row overall is not in problem 0
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0],
+                           [100.0, 0.0], [110.0, 0.0], [200.0, 0.0]])
+        weights = np.ones(6)
+        init = np.array([[[0.0, 0.0], [1e6, 1e6]],
+                         [[100.0, 0.0], [110.0, 0.0]]])
+        starts = np.array([0, 3])
+        monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", 1)
+        runs = clustering._lloyd_problems(points, weights, starts, init, z)
+        assert np.array_equal(runs[0].centers[1], points[2])
+        assert np.array_equal(runs[0].assignment, [0, 0, 1])
+        for run, rows, centers in zip(runs, (slice(0, 3), slice(3, 6)), init):
+            alone = clustering._lloyd(points[rows], weights[rows], centers, z)
+            assert np.array_equal(run.centers, alone.centers)
+            assert np.array_equal(run.assignment, alone.assignment)
+            assert run.cost_history == alone.cost_history
 
 
 class TestBruteForce:
