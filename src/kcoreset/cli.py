@@ -29,11 +29,10 @@ from .data import (
 from .distributed import drcc
 from .errors import KcoresetError, ValidationError
 from .harness import construct_coreset, evaluate_coreset, run_benchmark
-from .problems import make_problem
+from .problems import PROBLEM_NAMES, make_problem
 
 CONSTRUCT_ALGOS = ("rcc", "rcc-fixed", "uniform", "sensitivity", "farthest")
 DISTRIBUTED_ALGOS = ("drcc", "cdcc")
-PROBLEM_CHOICES = ("meb", "kmeans", "kmedian", "pca", "svm")
 
 
 def _handle_errors(func):
@@ -170,7 +169,7 @@ def distributed(dataset, algo, nodes, budget, ladder, k, z, scheme, n0, seed, ou
 @main.command()
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
 @click.argument("coreset", type=click.Path())
-@click.option("--problem", type=click.Choice(PROBLEM_CHOICES), required=True)
+@click.option("--problem", type=click.Choice(PROBLEM_NAMES), required=True)
 @click.option("--k", type=int, default=2, show_default=True,
               help="Number of centers (kmeans / kmedian).")
 @click.option("--l", "l", type=int, default=2, show_default=True,

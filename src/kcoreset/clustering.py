@@ -5,13 +5,14 @@ The cost of a center set Q on a weighted point set is
 z = 1 (k-median).  The solver is Lloyd iteration over weighted 1-center
 steps, run on many independent problems at once: each problem is a
 contiguous row segment with its own centers.  Each Lloyd pass works on
-whole arrays: one distance computation gives every problem's cost, new
-assignment and restart of empty centers, and the rows sorted by (problem,
-cluster) make every cluster one contiguous segment, so all clusters of all
-problems are recentered at once: z=2 by segmented weighted sums, z=1 by one
-Weiszfeld solver that advances every segment's iterate together.  A problem
-stops on its own, and its rows drop out.  A single problem is the plain
-k-center run.  The Weiszfeld solver is also the only 1-median code:
+whole arrays: one cdist per problem, written into one distance array,
+gives every problem's cost, new assignment and restart of empty centers,
+and the rows sorted by (problem, cluster) make every cluster one
+contiguous segment, so all clusters of all problems are recentered at
+once: z=2 by segmented weighted sums, z=1 by one Weiszfeld solver that
+advances every segment's iterate together.  A problem stops on its own,
+and its rows drop out.  A single problem is the plain k-center run.  The
+Weiszfeld solver is also the only 1-median code:
 ``weighted_geometric_median`` is its one-segment call, and
 ``brute_force_optimal`` solves all subsets in one call.
 
@@ -34,7 +35,6 @@ which is what the coreset size search and the error certificates rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -205,41 +205,27 @@ class ClusteringResult:
         return np.flatnonzero(self.assignment == i)
 
 
-def _cost_and_assignment(points, weights, centers, sizes, z, empty=()):
+def _cost_and_assignment(points, weights, centers, sizes, z, filled=None):
     """Per-problem costs and nearest-center assignment from one distance array.
 
     The rows are consecutive problems: problem p is the next sizes[p] rows,
-    with its own centers[p] (``centers`` has shape (problems, c, dim)).  A
-    row is measured only against its own problem's centers, and its
-    assignment indexes them.  Each center listed in ``empty``, as p*c + i
-    in ascending order, first restarts in place at its problem's currently
-    most expensive row, unless that would raise the problem's cost.
+    with its own centers[p] (``centers`` has shape (problems, c, dim)).  One
+    cdist per problem measures its rows against its own centers only, so a
+    row's assignment indexes them.  Where ``filled[p, i]`` is False, center
+    i of problem p first restarts in place at that problem's currently most
+    expensive row, unless that would raise the problem's cost.
     """
-    dist = _own_distances(points, centers, sizes)
-    nz = dist.min(axis=1) ** z
-    ends = np.cumsum(sizes)
-    costs = [float(weights[s:e] @ nz[s:e]) for s, e in zip(ends - sizes, ends)]
-    c = centers.shape[1]
-    for p, group in groupby(empty, key=lambda i: i // c):
-        rows = slice(ends[p] - sizes[p], ends[p])
-        costs[p] = _restart(points[rows], weights[rows], dist[rows], costs[p], centers[p],
-                            [i % c for i in group], z)
-    return costs, dist.argmin(axis=1)
-
-
-def _own_distances(points, centers, sizes):
-    """Distance of each row to each center of its own problem, shape (rows, c)."""
-    if len(sizes) == 1:
-        return cdist(points, centers[0])
-    # cdist's bits: square the coordinate differences and add them up in
-    # coordinate order, which a sum over axis 0 of a (dim, rows) array does
     dist = np.empty((points.shape[0], centers.shape[1]))
-    for i in range(centers.shape[1]):
-        diff = np.repeat(centers[:, i].T, sizes, axis=1)
-        np.subtract(points.T, diff, out=diff)
-        diff *= diff
-        np.sqrt(diff.sum(axis=0), out=dist[:, i])
-    return dist
+    ends = np.cumsum(sizes)
+    costs = []
+    for p, (s, e) in enumerate(zip(ends - sizes, ends)):
+        cdist(points[s:e], centers[p], out=dist[s:e])
+        cost = float(weights[s:e] @ dist[s:e].min(axis=1) ** z)
+        if filled is not None and not filled[p].all():
+            cost = _restart(points[s:e], weights[s:e], dist[s:e], cost, centers[p],
+                            np.flatnonzero(~filled[p]), z)
+        costs.append(cost)
+    return costs, dist.argmin(axis=1)
 
 
 def _restart(points, weights, dist, cost, centers, empty, z):
@@ -305,7 +291,7 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
             init=flat[filled],
         )
         costs, new_assign = _cost_and_assignment(
-            points, weights, centers, sizes, z, np.flatnonzero(~filled)
+            points, weights, centers, sizes, z, filled.reshape(-1, c)
         )
         for p, cost in zip(live, costs):
             histories[p].append(cost)
@@ -546,10 +532,9 @@ def brute_force_optimal(pointset: WeightedPointSet, k: int, z: int = 2) -> Brute
     dist = np.linalg.norm(points - one_ctr[subset], axis=1)
     one_cost = [0.0] + np.add.reduceat(weights * dist**z, starts).tolist()
 
-    best_prev = list(one_cost)  # at most 1 part
-    best_prev[0] = 0.0
-    parent = {1: None}
-    tables = {1: list(best_prev)}
+    best_prev = one_cost  # at most 1 part
+    parent = {}
+    costs_by_size = [one_cost[full]]
     for j in range(2, k + 1):
         best_j = [np.inf] * (full + 1)
         best_j[0] = 0.0
@@ -570,18 +555,15 @@ def brute_force_optimal(pointset: WeightedPointSet, k: int, z: int = 2) -> Brute
             best_j[mask] = best_val
             parent_j[mask] = best_part
         parent[j] = parent_j
-        tables[j] = list(best_j)
+        costs_by_size.append(best_j[full])
         best_prev = best_j
 
-    costs_by_size = np.array([tables[j][full] for j in range(1, k + 1)])
+    costs_by_size = np.array(costs_by_size)
     # walk the parent pointers to recover the optimal partition for size k
     parts, part_masks = [], []
     mask, j = full, k
     while mask:
-        if j == 1 or parent[j] is None:
-            part = mask
-        else:
-            part = parent[j][mask]
+        part = mask if j == 1 else parent[j][mask]
         parts.append(np.flatnonzero(member[part - 1]))
         part_masks.append(part)
         mask ^= part

@@ -341,24 +341,18 @@ def partition_dataset(pointset: WeightedPointSet, spec: ShardSpec) -> list[Weigh
                 f"specialized scheme needs one node per label "
                 f"({pointset.encoding.num_labels}), got n={n}"
             )
-        shards = []
-        for value in classes:
-            idx = np.flatnonzero(label_vals == value)
-            if idx.size == 0:
-                raise ValidationError("a label class has no points; cannot specialize")
-            shards.append(pointset.subset(idx))
-        return shards
-
-    # hybrid: first n0 nodes take one label class each, the rest share the
-    # remaining points uniformly at random.
-    n0 = spec.n0 if spec.n0 is not None else n // 2
-    if not 0 < n0 < n:
-        raise ValidationError(f"hybrid scheme needs 0 < n0 < n, got n0={n0}, n={n}")
-    if n0 > pointset.encoding.num_labels:
-        raise ValidationError(
-            f"hybrid scheme with n0={n0} needs at least n0 label classes "
-            f"(have {pointset.encoding.num_labels})"
-        )
+        n0 = n
+    else:
+        # hybrid: first n0 nodes take one label class each, the rest share
+        # the remaining points uniformly at random.
+        n0 = spec.n0 if spec.n0 is not None else n // 2
+        if not 0 < n0 < n:
+            raise ValidationError(f"hybrid scheme needs 0 < n0 < n, got n0={n0}, n={n}")
+        if n0 > pointset.encoding.num_labels:
+            raise ValidationError(
+                f"hybrid scheme with n0={n0} needs at least n0 label classes "
+                f"(have {pointset.encoding.num_labels})"
+            )
     shards = []
     taken = np.zeros(pointset.size, dtype=bool)
     for value in classes[:n0]:
@@ -367,6 +361,8 @@ def partition_dataset(pointset: WeightedPointSet, spec: ShardSpec) -> list[Weigh
             raise ValidationError("a label class has no points; cannot specialize")
         shards.append(pointset.subset(idx))
         taken[idx] = True
+    if n0 == n:
+        return shards
     rest = np.flatnonzero(~taken)
     if rest.size < n - n0:
         raise ValidationError("not enough remaining points for the uniform nodes")

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .baselines import _collapse
 from .clustering import _Recursion, add_costliest_point, assign_to_centers
 from .coreset import Coreset
 from .data import WeightedPointSet
@@ -240,14 +241,10 @@ def node_sample(
     if t_j > 0 and local_cost > 0:
         rng = np.random.default_rng(seed)
         draws = rng.choice(shard.size, size=t_j, p=m_p / local_cost)
-        unique, inverse = np.unique(draws, return_inverse=True)
-        per_draw = c_over_t * shard.weights[draws] / m_p[draws]
-        u = np.zeros(unique.size)
-        np.add.at(u, inverse, per_draw)
+        unique, sample_weights = _collapse(draws, c_over_t * shard.weights[draws] / m_p[draws])
         sample_points = shard.points[unique]
-        sample_weights = u
         drained = np.zeros(centers.shape[0])
-        np.add.at(drained, assign[unique], u)
+        np.add.at(drained, assign[unique], sample_weights)
     else:
         sample_points = np.empty((0, shard.dim))
         sample_weights = np.empty(0)

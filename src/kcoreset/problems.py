@@ -25,9 +25,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .clustering import k_clustering
+from .clustering import clustering_cost, k_clustering
 from .data import WeightedPointSet
 from .errors import ValidationError
 
@@ -228,9 +227,7 @@ def problem_cost(problem: MLProblem, data, model) -> float:
         per_point = np.linalg.norm(points - model.center, axis=1)
         return float(per_point.max())
     if problem.name in ("kmeans", "kmedian"):
-        d = cdist(points, np.atleast_2d(model.centers)).min(axis=1)
-        power = 2 if problem.name == "kmeans" else 1
-        return float(weights @ d**power)
+        return clustering_cost(data, model.centers, 2 if problem.name == "kmeans" else 1)
     if problem.name == "pca":
         frame = model.frame
         residual = points - (points @ frame) @ frame.T

@@ -25,6 +25,7 @@ from kcoreset import (
     one_mean,
     one_median,
     synthetic_blobs,
+    synthetic_uniform,
     weighted_geometric_median,
 )
 from oracles import (
@@ -318,6 +319,8 @@ class TestDoubledRun:
             for side in (2, 3, 3)
         ]
         sets = grids + [synthetic_blobs(120, 3, 3, seed=s) for s in (0, 1)]
+        # dim 9: numpy sums 8 or more squared differences pairwise, cdist does not
+        sets.append(synthetic_uniform(120, 9, 0.0, 1.0, seed=2))
         seen_empty = seen_zero = 0
         for ps in sets:
             for k in (2, 3, 5, 8):
