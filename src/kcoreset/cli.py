@@ -145,10 +145,9 @@ def distributed(dataset, algo, nodes, budget, ladder, k, z, scheme, n0, seed, ou
     shards = partition_dataset(pointset, spec)
     if z is None:
         z = 1 if algo == "drcc" else 2
-    if algo == "drcc":
-        coreset, trace = drcc(shards, budget, K=ladder, z=z, seed=seed)
-    else:
-        coreset, trace = drcc(shards, budget, K=k, z=z, seed=seed, k_fixed=k)
+    k_fixed = k if algo == "cdcc" else None
+    coreset, trace = drcc(shards, budget, K=ladder if k_fixed is None else k_fixed, z=z,
+                          seed=seed, k_fixed=k_fixed)
     coreset.save(out)
     trace_path = f"{out}.trace.json"
     with open(trace_path, "w") as fh:

@@ -16,7 +16,8 @@ the overhead can be audited.
 
 ``cdcc`` is the fixed-allocation variant: every node keeps exactly k
 centers and the sample pool is split by cost alone.  It runs the very same
-pipeline with the allocator pinned.
+pipeline, and the same greedy allocator, with every node's floor and cap
+both set to k, so the allocator has no increment left to make.
 """
 
 from __future__ import annotations
@@ -142,6 +143,16 @@ def node_local_centers(
     return LocalLadder(runs=runs, clamped=clamped)
 
 
+def _center_floor(n: int, N: int, k_fixed: int | None) -> int:
+    """Each node's least center count; raise unless N holds it on all n nodes plus a sample."""
+    floor = 1 if k_fixed is None else k_fixed
+    if floor < 1 or n * floor > N - 1:
+        raise ValidationError(
+            f"budget N={N} must exceed {n} nodes x {floor} centers, with >= 1 center per node"
+        )
+    return floor
+
+
 def server_allocate(
     reports: list,
     N: int,
@@ -150,51 +161,44 @@ def server_allocate(
 ) -> ServerConfig:
     """Split the size budget into per-node center counts and sample counts.
 
-    Starts every node at one center and greedily applies the single
+    Starts every node at its floor and greedily applies the single
     increment that most reduces (sum of chosen local costs) / sqrt(N - sum
-    of center counts), keeping at least one sample slot free; ties go to
-    the lowest node id.  The remaining t slots are assigned to nodes by one
-    multinomial draw proportional to the chosen local costs.  With
-    ``k_fixed`` the greedy phase is skipped and every node keeps exactly
+    of center counts), up to each node's cap and keeping at least one
+    sample slot free; ties go to the lowest node id.  The remaining t slots
+    are assigned to nodes by one multinomial draw proportional to the
+    chosen local costs.  The floor is 1 and the cap is the node's ladder
+    length; ``k_fixed`` sets both to k_fixed, so every node keeps exactly
     k_fixed centers.
     """
     n = len(reports)
     if n < 1:
         raise ValidationError("need at least one node report")
+    floor = _center_floor(n, N, k_fixed)
     costs = [np.asarray(r.local_costs, dtype=float) for r in reports]
-    caps = [c.size for c in costs]
-    if k_fixed is not None:
-        if k_fixed < 1 or any(k_fixed > cap for cap in caps):
-            raise ValidationError(f"fixed center count {k_fixed} exceeds a node's ladder")
-        if n * k_fixed > N - 1:
-            raise ValidationError(
-                f"budget N={N} cannot host {k_fixed} centers per node plus samples"
-            )
-        k_alloc = [k_fixed] * n
-    else:
-        if N - 1 < n:
-            raise ValidationError(f"budget N={N} too small for {n} nodes plus samples")
-        k_alloc = [1] * n
+    if any(floor > c.size for c in costs):
+        raise ValidationError(f"a node's cost ladder is shorter than {floor}")
+    caps = [c.size if k_fixed is None else k_fixed for c in costs]
+    k_alloc = [floor] * n
 
-        def objective(chosen):
-            total_k = sum(chosen)
-            return sum(c[j - 1] for c, j in zip(costs, chosen)) / np.sqrt(N - total_k)
+    def objective(chosen):
+        total_k = sum(chosen)
+        return sum(c[j - 1] for c, j in zip(costs, chosen)) / np.sqrt(N - total_k)
 
-        current = objective(k_alloc)
-        while sum(k_alloc) < N - 1:
-            best_j, best_val = None, current
-            for j in range(n):
-                if k_alloc[j] >= caps[j]:
-                    continue
-                k_alloc[j] += 1
-                val = objective(k_alloc)
-                k_alloc[j] -= 1
-                if val < best_val:
-                    best_j, best_val = j, val
-            if best_j is None:
-                break
-            k_alloc[best_j] += 1
-            current = best_val
+    current = objective(k_alloc)
+    while sum(k_alloc) < N - 1:
+        best_j, best_val = None, current
+        for j in range(n):
+            if k_alloc[j] >= caps[j]:
+                continue
+            k_alloc[j] += 1
+            val = objective(k_alloc)
+            k_alloc[j] -= 1
+            if val < best_val:
+                best_j, best_val = j, val
+        if best_j is None:
+            break
+        k_alloc[best_j] += 1
+        current = best_val
 
     chosen_costs = np.array([c[j - 1] for c, j in zip(costs, k_alloc)])
     C = float(chosen_costs.sum())
@@ -276,14 +280,14 @@ def drcc(
         z: clustering cost exponent used node-side.
         seed: master seed; node clustering, server sampling and node
             sampling each consume independent streams derived from it.
-        k_fixed: pin every node's center count (the fixed-allocation
-            variant) instead of running the greedy allocator.
+        k_fixed: the fixed-allocation variant: the allocator's per-node
+            floor and cap are both k_fixed, so every node keeps exactly
+            k_fixed centers.  The budget is checked before any node clusters.
     """
     n = len(shards)
     if n < 1:
         raise ValidationError("need at least one shard")
-    if N < 1:
-        raise ValidationError("coreset budget N must be >= 1")
+    _center_floor(n, N, k_fixed)
     root = np.random.SeedSequence(seed)
     children = root.spawn(2 * n + 1)
     ladder_seeds = children[:n]
@@ -352,9 +356,9 @@ def drcc(
 def cdcc(shards: list, N: int, k: int, z: int = 2, seed: int = 0) -> Coreset:
     """Fixed-allocation distributed coreset: every node keeps k centers.
 
-    Runs the same pipeline as :func:`drcc` with the allocator pinned to k
-    and the ladder capped at k, so for matching arguments the two produce
-    identical coresets.
+    This is :func:`drcc` with ``K=k, k_fixed=k``: the ladder stops at k and
+    the allocator's floor and cap are both k, so for matching arguments the
+    two produce identical coresets.
     """
     coreset, _ = drcc(shards, N, K=k, z=z, seed=seed, k_fixed=k)
     return coreset

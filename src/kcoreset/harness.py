@@ -39,7 +39,7 @@ from .data import (
     synthetic_uniform,
     with_svm_labels,
 )
-from .distributed import cdcc, drcc
+from .distributed import drcc
 from .errors import ValidationError
 from .problems import MLProblem, make_problem, problem_cost, solve_problem, svm_accuracy
 
@@ -208,7 +208,7 @@ def construct_coreset(
     random distribution of the data over nodes.
     """
     kind = algorithm.get("kind", algorithm.get("name"))
-    z = int(algorithm.get("z", 2))
+    z = int(algorithm.get("z", 1 if kind == "drcc" else 2))
     if kind == "rcc":
         return rcc(
             pointset,
@@ -219,9 +219,7 @@ def construct_coreset(
         )
     if kind == "rcc_fixed":
         return rcc_fixed_size(
-            pointset, int(size), z=z, seed=seed,
-            rho=float(algorithm.get("rho", 1.0)),
-            certify=bool(algorithm.get("certify", True)),
+            pointset, int(size), z=z, seed=seed, rho=float(algorithm.get("rho", 1.0))
         )
     if kind == "uniform":
         return uniform_sample(pointset, int(size), seed=seed)
@@ -239,16 +237,12 @@ def construct_coreset(
         )
         shards = partition_dataset(pointset, spec)
         proto_seed = int(rng.integers(2**63))
-        if kind == "drcc":
-            coreset, _ = drcc(
-                shards, int(size), K=int(algorithm.get("K", 5)),
-                z=int(algorithm.get("z", 1)), seed=proto_seed,
-            )
-            return coreset
-        return cdcc(
-            shards, int(size), k=int(algorithm.get("k", 2)),
-            z=int(algorithm.get("z", 2)), seed=proto_seed,
+        k_fixed = int(algorithm.get("k", 2)) if kind == "cdcc" else None
+        coreset, _ = drcc(
+            shards, int(size), K=int(algorithm.get("K", 5)) if k_fixed is None else k_fixed,
+            z=z, seed=proto_seed, k_fixed=k_fixed,
         )
+        return coreset
     raise ValidationError(f"unknown algorithm kind {kind!r}")
 
 

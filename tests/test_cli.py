@@ -3,10 +3,22 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from kcoreset import save_pointset, synthetic_blobs, synthetic_uniform
+from kcoreset import (
+    ShardSpec,
+    cdcc,
+    drcc,
+    load_coreset,
+    load_dataset,
+    normalize_features,
+    partition_dataset,
+    save_pointset,
+    synthetic_blobs,
+    synthetic_uniform,
+)
 from kcoreset.cli import main
 
 
@@ -130,6 +142,17 @@ class TestDistributed:
             provenance = json.load(fh)["provenance"]
         assert provenance["algorithm"] == algo
         assert provenance["z"] == {"drcc": 1, "cdcc": 2}[algo]
+        # the saved coreset is the library call on the same inputs
+        shards = partition_dataset(
+            normalize_features(load_dataset(dataset_csv)), ShardSpec("uniform", 3, seed=7)
+        )
+        if algo == "drcc":
+            expected, _ = drcc(shards, N=20, K=5, z=1, seed=7)
+        else:
+            expected = cdcc(shards, N=20, k=2, z=2, seed=7)
+        saved = load_coreset(out + ".csv")
+        assert np.array_equal(saved.points, expected.points)
+        assert np.array_equal(saved.weights, expected.weights)
 
     def test_budget_below_node_count_is_usage_error(self, runner, dataset_csv, tmp_path):
         result = runner.invoke(main, [

@@ -132,6 +132,11 @@ class TestServerAllocate:
             server_allocate(reports, N=12, k_fixed=3)  # ladder too short
         with pytest.raises(ValidationError):
             server_allocate(reports, N=6, k_fixed=2)  # no sample slot left
+        # an empty ladder cannot host the floor, greedy or fixed
+        empty = [NodeReport(0, np.array([])), NodeReport(1, np.array([3.0, 1.0]))]
+        for k_fixed in (None, 1):
+            with pytest.raises(ValidationError):
+                server_allocate(empty, N=10, k_fixed=k_fixed)
 
     def test_greedy_improves_on_all_ones(self):
         rng = np.random.default_rng(5)
@@ -282,6 +287,17 @@ class TestDrcc:
             drcc(shards, N=0, K=2)
         with pytest.raises(ValidationError):
             drcc(shards, N=3, K=2)  # 3 nodes need at least 4 slots
+
+    def test_budget_rejected_before_any_node_clusters(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a node clustered before the budget was checked")
+
+        monkeypatch.setattr("kcoreset.distributed.node_local_centers", refuse)
+        shards, _ = make_shards(5)
+        with pytest.raises(ValidationError):
+            drcc(shards, N=len(shards), K=2)
+        with pytest.raises(ValidationError):
+            drcc(shards, N=2 * len(shards), K=2, k_fixed=2)
 
     def test_unbiased_sum_cost_estimate_over_protocol_randomness(self):
         # ladders are fixed; allocation + sampling redrawn each run
