@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 
 import click
@@ -47,6 +48,13 @@ def _handle_errors(func):
     return wrapper
 
 
+def _check_out_dir(ctx, param, value):
+    """Reject an output path whose directory does not exist, before any work."""
+    if value and not os.path.isdir(os.path.dirname(value) or "."):
+        raise click.BadParameter(f"directory {os.path.dirname(value)!r} does not exist")
+    return value
+
+
 def _load(path, weight_column, label_column, normalize):
     pointset = load_dataset(path, weight_column=weight_column, label_column=label_column)
     if normalize:
@@ -79,7 +87,7 @@ def main() -> None:
 @click.option("--k", type=int, default=None,
               help="Cluster count for the sensitivity baseline's bicriteria step.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", required=True, type=click.Path(),
+@click.option("--out", required=True, type=click.Path(), callback=_check_out_dir,
               help="Output prefix; writes <out>.csv and <out>.json.")
 @click.option("--weight-column", default="weight", show_default=True)
 @click.option("--label-column", default=None)
@@ -119,10 +127,9 @@ def construct(dataset, algo, size, eps, rho, z, k, seed, out, weight_column,
 @click.option("--nodes", "-n", type=int, required=True, help="Number of nodes.")
 @click.option("--budget", "-N", "budget", type=int, required=True,
               help="Total point budget shared by all nodes.")
-@click.option("--ladder", "-K", "ladder", type=int, default=5, show_default=True,
-              help="Largest per-node center count explored (drcc).")
-@click.option("--k", type=int, default=2, show_default=True,
-              help="Fixed per-node center count (cdcc).")
+@click.option("--k", "-K", "--ladder", "centers", type=int, default=None,
+              help="Per-node center count: the most drcc may pick, the exact "
+                   "count for cdcc [default: 5 for drcc, 2 for cdcc].")
 @click.option("--z", type=click.IntRange(1, 2), default=None,
               help="Cost exponent [default: 1 for drcc, 2 for cdcc].")
 @click.option("--scheme", type=click.Choice(("uniform", "specialized", "hybrid")),
@@ -131,23 +138,24 @@ def construct(dataset, algo, size, eps, rho, z, k, seed, out, weight_column,
 @click.option("--n0", type=int, default=None,
               help="Specialized node count for the hybrid scheme.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", required=True, type=click.Path(),
+@click.option("--out", required=True, type=click.Path(), callback=_check_out_dir,
               help="Output prefix; writes <out>.csv, <out>.json, <out>.trace.json.")
 @click.option("--weight-column", default="weight", show_default=True)
 @click.option("--label-column", default=None)
 @click.option("--normalize/--no-normalize", default=True, show_default=True)
 @_handle_errors
-def distributed(dataset, algo, nodes, budget, ladder, k, z, scheme, n0, seed, out,
+def distributed(dataset, algo, nodes, budget, centers, z, scheme, n0, seed, out,
                 weight_column, label_column, normalize):
     """Run a multi-node construction over DATASET and save coreset + trace."""
     pointset = _load(dataset, weight_column, label_column, normalize)
     spec = ShardSpec(scheme=scheme, n=nodes, n0=n0, seed=seed)
     shards = partition_dataset(pointset, spec)
+    if centers is None:
+        centers = 5 if algo == "drcc" else 2
     if z is None:
         z = 1 if algo == "drcc" else 2
-    k_fixed = k if algo == "cdcc" else None
-    coreset, trace = drcc(shards, budget, K=ladder if k_fixed is None else k_fixed, z=z,
-                          seed=seed, k_fixed=k_fixed)
+    coreset, trace = drcc(shards, budget, K=centers, z=z, seed=seed,
+                          k_fixed=centers if algo == "cdcc" else None)
     coreset.save(out)
     trace_path = f"{out}.trace.json"
     with open(trace_path, "w") as fh:
@@ -176,7 +184,7 @@ def distributed(dataset, algo, nodes, budget, ladder, k, z, scheme, n0, seed, ou
 @click.option("--positive-label", default=None,
               help="Class treated as +1 (svm).")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(), default=None, callback=_check_out_dir,
               help="Write the JSON report here instead of stdout.")
 @click.option("--weight-column", default="weight", show_default=True)
 @click.option("--label-column", default=None)

@@ -275,23 +275,21 @@ def rcc(
             )
         return max(runs[k].gap, 0.0)
 
-    # double until the gap certificate passes, then binary-refine downwards
-    tried = []
+    # double until the gap certificate passes, then binary-refine downwards;
+    # every size tried is a key of runs (a k_max <= 0 fails in gap_at)
     lo, passing = 0, None
     k = 1
     while k <= k_max:
-        tried.append(k)
         if gap_at(k) <= threshold:
             passing = k
             break
         lo = k
         k *= 2
-    if passing is None and (not tried or tried[-1] != k_max):
-        tried.append(k_max)
+    if passing is None and k_max not in runs:
         if gap_at(k_max) <= threshold:
             passing = k_max
     if passing is None:
-        best_k = min(tried, key=gap_at)
+        best_k = min(runs, key=gap_at)
         raise ThresholdNotReachedError(
             f"no size up to {k_max} meets the eps={eps} target "
             f"(best gap {gap_at(best_k):.6g} at k={best_k}, need <= {threshold:.6g})",
@@ -300,7 +298,6 @@ def rcc(
         )
     while passing - lo > 1:
         mid = (lo + passing) // 2
-        tried.append(mid)
         if gap_at(mid) <= threshold:
             passing = mid
         else:
@@ -314,7 +311,7 @@ def rcc(
             "eps": eps,
             "rho": rho,
             "seed": seed,
-            "sizes_tried": sorted(set(tried)),
+            "sizes_tried": sorted(runs),
         },
     )
     coreset.certificate = certify_eps(pointset, chosen, rho=rho)

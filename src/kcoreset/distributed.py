@@ -14,10 +14,10 @@ node (center count, sample count, weight normalizer), and only then do the
 coreset points themselves travel.  A ProtocolTrace records every message so
 the overhead can be audited.
 
-``cdcc`` is the fixed-allocation variant: every node keeps exactly k
-centers and the sample pool is split by cost alone.  It runs the very same
-pipeline, and the same greedy allocator, with every node's floor and cap
-both set to k, so the allocator has no increment left to make.
+The two protocols differ in one per-node center count: drcc lets the
+server pick up to K centers per node, and ``cdcc`` pins every node to k.
+cdcc runs the very same pipeline and greedy allocator with every node's
+floor and cap set to k, so the allocator has no increment left to make.
 """
 
 from __future__ import annotations
@@ -143,13 +143,22 @@ def node_local_centers(
     return LocalLadder(runs=runs, clamped=clamped)
 
 
-def _center_floor(n: int, N: int, k_fixed: int | None) -> int:
-    """Each node's least center count; raise unless N holds it on all n nodes plus a sample."""
+def _center_floor(N: int, ladder_lengths: list, k_fixed: int | None) -> int:
+    """Each node's least center count, with every allocation precondition.
+
+    Raises unless there is a node, the floor (k_fixed, else 1) is >= 1,
+    n * floor <= N - 1, and every node's ladder holds the floor.
+    """
+    n = len(ladder_lengths)
+    if n < 1:
+        raise ValidationError("need at least one node")
     floor = 1 if k_fixed is None else k_fixed
     if floor < 1 or n * floor > N - 1:
         raise ValidationError(
             f"budget N={N} must exceed {n} nodes x {floor} centers, with >= 1 center per node"
         )
+    if any(floor > length for length in ladder_lengths):
+        raise ValidationError(f"K and every shard size must be >= {floor}, the per-node floor")
     return floor
 
 
@@ -168,15 +177,11 @@ def server_allocate(
     are assigned to nodes by one multinomial draw proportional to the
     chosen local costs.  The floor is 1 and the cap is the node's ladder
     length; ``k_fixed`` sets both to k_fixed, so every node keeps exactly
-    k_fixed centers.
+    k_fixed centers.  :func:`_center_floor` checks the inputs.
     """
-    n = len(reports)
-    if n < 1:
-        raise ValidationError("need at least one node report")
-    floor = _center_floor(n, N, k_fixed)
     costs = [np.asarray(r.local_costs, dtype=float) for r in reports]
-    if any(floor > c.size for c in costs):
-        raise ValidationError(f"a node's cost ladder is shorter than {floor}")
+    n = len(costs)
+    floor = _center_floor(N, [c.size for c in costs], k_fixed)
     caps = [c.size if k_fixed is None else k_fixed for c in costs]
     k_alloc = [floor] * n
 
@@ -276,39 +281,31 @@ def drcc(
     Args:
         shards: per-node WeightedPointSet list.
         N: global coreset size budget (centers plus samples).
-        K: largest per-node center count offered to the allocator.
+        K: largest per-node center count; a node's ladder has min(K, size) runs.
         z: clustering cost exponent used node-side.
         seed: master seed; node clustering, server sampling and node
             sampling each consume independent streams derived from it.
         k_fixed: the fixed-allocation variant: the allocator's per-node
             floor and cap are both k_fixed, so every node keeps exactly
-            k_fixed centers.  The budget is checked before any node clusters.
+            k_fixed centers.  :func:`_center_floor` checks the budget and
+            the ladder lengths before any node clusters.
     """
     n = len(shards)
-    if n < 1:
-        raise ValidationError("need at least one shard")
-    _center_floor(n, N, k_fixed)
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(2 * n + 1)
-    ladder_seeds = children[:n]
-    server_seed = children[n]
-    sample_seeds = children[n + 1:]
+    _center_floor(N, [min(K, shard.size) for shard in shards], k_fixed)
+    # seeds[:n] for the ladders, seeds[n] for the server, seeds[n + 1:] for sampling
+    seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(2 * n + 1)]
 
     trace = ProtocolTrace()
     ladders, reports = [], []
     for j, shard in enumerate(shards):
-        ladder = node_local_centers(
-            shard, K, z=z, seed=int(ladder_seeds[j].generate_state(1)[0])
-        )
+        ladder = node_local_centers(shard, K, z=z, seed=seeds[j])
         if ladder.clamped:
             trace.notes.append(f"node {j}: ladder clamped to shard size {shard.size}")
         ladders.append(ladder)
         reports.append(NodeReport(node_id=j, local_costs=ladder.costs))
         trace.record(f"node{j}", "server", "cost_ladder", scalars=len(ladder.costs))
 
-    config = server_allocate(
-        reports, N, seed=int(server_seed.generate_state(1)[0]), k_fixed=k_fixed
-    )
+    config = server_allocate(reports, N, seed=seeds[n], k_fixed=k_fixed)
     if config.total_cost == 0:
         trace.notes.append("all reported costs are zero; no samples drawn")
     for j in range(n):
@@ -323,7 +320,7 @@ def drcc(
             config.t_alloc[j],
             config.c_over_t,
             z=z,
-            seed=int(sample_seeds[j].generate_state(1)[0]),
+            seed=seeds[n + 1 + j],
         )
         # only exact-zero residuals drop out (e.g. a center whose cell is empty)
         keep = local.center_weights != 0

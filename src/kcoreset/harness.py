@@ -205,7 +205,8 @@ def construct_coreset(
 
     ``kind`` selects the construction; distributed kinds re-partition the
     dataset with a seed derived from ``seed``, so every run sees a fresh
-    random distribution of the data over nodes.
+    random distribution of the data over nodes.  Their per-node center
+    count is read from ``K`` or ``k`` (default 5 for drcc, 2 for cdcc).
     """
     kind = algorithm.get("kind", algorithm.get("name"))
     z = int(algorithm.get("z", 1 if kind == "drcc" else 2))
@@ -228,6 +229,9 @@ def construct_coreset(
     if kind == "farthest":
         return farthest_point(pointset, int(size), seed=seed)
     if kind in ("drcc", "cdcc"):
+        if "K" in algorithm and "k" in algorithm:
+            raise ValidationError("'K' and 'k' name the same per-node center count; set one")
+        centers = int(algorithm.get("K", algorithm.get("k", 5 if kind == "drcc" else 2)))
         rng = np.random.default_rng(seed)
         spec = ShardSpec(
             scheme=algorithm.get("scheme", "uniform"),
@@ -237,10 +241,9 @@ def construct_coreset(
         )
         shards = partition_dataset(pointset, spec)
         proto_seed = int(rng.integers(2**63))
-        k_fixed = int(algorithm.get("k", 2)) if kind == "cdcc" else None
         coreset, _ = drcc(
-            shards, int(size), K=int(algorithm.get("K", 5)) if k_fixed is None else k_fixed,
-            z=z, seed=proto_seed, k_fixed=k_fixed,
+            shards, int(size), K=centers, z=z, seed=proto_seed,
+            k_fixed=centers if kind == "cdcc" else None,
         )
         return coreset
     raise ValidationError(f"unknown algorithm kind {kind!r}")
@@ -258,6 +261,8 @@ def run_benchmark(config: dict, out_dir: str | None = None):
     Returns (records, summary); when out_dir is given also writes runs.csv,
     summary.json, cdf.csv and timings.csv there.
     """
+    if not isinstance(config, dict):
+        raise ValidationError("config must be a JSON object")
     master_seed = int(config.get("seed", 0))
     runs = int(config.get("runs", 1))
     if runs < 1:
@@ -358,7 +363,7 @@ def _size_label(size) -> str:
 
 def _svm_train_test(pointset, problem, entry):
     """Relabel a dataset for svm and split it into train and test parts."""
-    positive = entry.get("positive_label") or problem.params.get("positive_label")
+    positive = problem.params["positive_label"]
     if positive is None:
         raise ValidationError("svm problem entries need 'positive_label'")
     relabeled = with_svm_labels(pointset, positive)

@@ -31,6 +31,7 @@ from .data import WeightedPointSet
 from .errors import ValidationError
 
 PROBLEM_NAMES = ("meb", "kmeans", "kmedian", "pca", "svm")
+CLUSTER_Z = {"kmeans": 2, "kmedian": 1}  # distance exponent of each clustering cost
 PCA_TOL = 1e-8
 PCA_MAX_ITER = 10000
 SVM_LAM = 1e-4
@@ -103,20 +104,12 @@ def make_problem(
     delta: float | None = None,
     positive_label: str | None = None,
 ) -> MLProblem:
-    """Build an MLProblem with its aggregation mode and Lipschitz constant."""
-    if name == "meb":
-        return MLProblem(name, "max", 1.0, {})
-    if name == "kmedian":
-        return MLProblem(name, "sum", 1.0, {"k": k})
-    if name == "kmeans":
-        rho = lipschitz_rho(name, delta=delta) if delta is not None else None
-        return MLProblem(name, "sum", rho, {"k": k})
-    if name == "pca":
-        rho = lipschitz_rho(name, delta=delta, l=l) if delta is not None else None
-        return MLProblem(name, "sum", rho, {"l": l})
-    if name == "svm":
-        return MLProblem(name, "sum", math.inf, {"positive_label": positive_label})
-    raise ValidationError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
+    """Build an MLProblem; kmeans and pca leave rho None without delta."""
+    needs_delta = name in ("kmeans", "pca")
+    rho = None if needs_delta and delta is None else lipschitz_rho(name, delta=delta, l=l)
+    params = {"meb": {}, "kmedian": {"k": k}, "kmeans": {"k": k}, "pca": {"l": l},
+              "svm": {"positive_label": positive_label}}[name]
+    return MLProblem(name, "max" if name == "meb" else "sum", rho, params)
 
 
 def meb_solve(pointset: WeightedPointSet, tol: float = 1e-3) -> MebModel:
@@ -226,8 +219,8 @@ def problem_cost(problem: MLProblem, data, model) -> float:
     if problem.name == "meb":
         per_point = np.linalg.norm(points - model.center, axis=1)
         return float(per_point.max())
-    if problem.name in ("kmeans", "kmedian"):
-        return clustering_cost(data, model.centers, 2 if problem.name == "kmeans" else 1)
+    if problem.name in CLUSTER_Z:
+        return clustering_cost(data, model.centers, CLUSTER_Z[problem.name])
     if problem.name == "pca":
         frame = model.frame
         residual = points - (points @ frame) @ frame.T
@@ -243,14 +236,13 @@ def solve_problem(problem: MLProblem, pointset: WeightedPointSet, seed: int = 0)
     """Train the problem's model on a weighted point set."""
     if problem.name == "meb":
         return meb_solve(pointset)
-    if problem.name in ("kmeans", "kmedian"):
+    if problem.name in CLUSTER_Z:
         k = problem.params["k"]
         if k > pointset.size:
             raise ValidationError(
                 f"cannot fit {k} centers on {pointset.size} points"
             )
-        z = 2 if problem.name == "kmeans" else 1
-        run = k_clustering(pointset, k, z=z, seed=seed)
+        run = k_clustering(pointset, k, z=CLUSTER_Z[problem.name], seed=seed)
         return CentersModel(centers=run.centers)
     if problem.name == "pca":
         return pca_solve(pointset, problem.params["l"], seed=seed)

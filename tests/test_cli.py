@@ -154,6 +154,29 @@ class TestDistributed:
         assert np.array_equal(saved.points, expected.points)
         assert np.array_equal(saved.weights, expected.weights)
 
+    @pytest.mark.parametrize("algo, flag", [
+        ("cdcc", "-K"), ("cdcc", "--ladder"), ("drcc", "--k"), ("drcc", "-K"),
+    ])
+    def test_one_center_count_option_for_both_protocols(
+        self, runner, dataset_csv, tmp_path, algo, flag
+    ):
+        out = str(tmp_path / algo)
+        result = runner.invoke(main, [
+            "distributed", dataset_csv, "--algo", algo, "--nodes", "3",
+            "--budget", "20", "--seed", "7", flag, "3", "--out", out,
+        ])
+        assert result.exit_code == 0, result.output
+        shards = partition_dataset(
+            normalize_features(load_dataset(dataset_csv)), ShardSpec("uniform", 3, seed=7)
+        )
+        if algo == "drcc":
+            expected, _ = drcc(shards, N=20, K=3, z=1, seed=7)
+        else:
+            expected = cdcc(shards, N=20, k=3, z=2, seed=7)
+        saved = load_coreset(out + ".csv")
+        assert np.array_equal(saved.points, expected.points)
+        assert np.array_equal(saved.weights, expected.weights)
+
     def test_budget_below_node_count_is_usage_error(self, runner, dataset_csv, tmp_path):
         result = runner.invoke(main, [
             "distributed", dataset_csv, "--nodes", "5", "--budget", "4",
@@ -272,6 +295,34 @@ class TestBenchmark:
         ])
         assert result.exit_code == 2
         assert "not valid JSON" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "--size", "10"],
+    ["distributed", "--nodes", "3", "--budget", "20"],
+    ["evaluate", "CORESET", "--problem", "meb"],
+])
+def test_out_in_missing_directory_is_usage_error_before_any_work(
+    runner, dataset_csv, tmp_path, monkeypatch, command
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dataset was loaded before --out was checked")
+
+    monkeypatch.setattr("kcoreset.cli._load", refuse)
+    coreset = str(tmp_path / "core.csv")
+    args = [command[0], dataset_csv] + [coreset if a == "CORESET" else a for a in command[1:]]
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "out")])
+    assert result.exit_code == 2, result.output
+    assert "does not exist" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_benchmark_config_that_is_not_an_object_is_usage_error(runner, tmp_path):
+    config_path = tmp_path / "list.json"
+    config_path.write_text("[1, 2]")
+    result = runner.invoke(main, ["benchmark", str(config_path), "--out", str(tmp_path / "r")])
+    assert result.exit_code == 2, result.output
+    assert "config must be a JSON object" in result.output
 
 
 def test_version_flag(runner):

@@ -298,6 +298,11 @@ class TestDrcc:
             drcc(shards, N=len(shards), K=2)
         with pytest.raises(ValidationError):
             drcc(shards, N=2 * len(shards), K=2, k_fixed=2)
+        with pytest.raises(ValidationError):
+            drcc(shards, N=80, K=2, k_fixed=3)  # ladders of 2 cannot hold 3 centers
+        two_points = WeightedPointSet(shards[0].points[:2], shards[0].weights[:2])
+        with pytest.raises(ValidationError):
+            drcc([two_points] + shards[1:], N=80, K=3, k_fixed=3)
 
     def test_unbiased_sum_cost_estimate_over_protocol_randomness(self):
         # ladders are fixed; allocation + sampling redrawn each run

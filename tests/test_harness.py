@@ -141,6 +141,20 @@ class TestConstructCoreset:
             coreset = construct_coreset(algo, ps, size=10, seed=0)
             assert coreset.size >= 1
 
+    @pytest.mark.parametrize("kind", ["drcc", "cdcc"])
+    def test_K_and_k_name_the_same_center_count(self, kind):
+        ps = synthetic_blobs(60, 4, 3, seed=2)
+        built = [
+            construct_coreset({"kind": kind, "nodes": 3, key: 3}, ps, size=12, seed=0)
+            for key in ("K", "k")
+        ]
+        assert np.array_equal(built[0].points, built[1].points)
+        assert np.array_equal(built[0].weights, built[1].weights)
+        assert built[0].provenance == built[1].provenance
+        assert built[0].provenance["K"] == 3
+        if kind == "cdcc":
+            assert built[0].provenance["k_alloc"] == [3, 3, 3]
+
     def test_adaptive_kind_uses_eps(self):
         ps = synthetic_blobs(60, 4, 3, spread=0.01, seed=2)
         coreset = construct_coreset({"kind": "rcc", "eps": 2.0, "z": 2}, ps, None, 0)
@@ -193,7 +207,10 @@ class TestRunBenchmark:
         ({"kind": "rcc_fixed"}, {"kind": "rcc", "eps": 2.0}, None, "TypeError"),
         ({"kind": "rcc"}, {"kind": "uniform"}, [8], "KeyError: 'eps'"),
         ({"kind": "drcc"}, {"kind": "uniform"}, [8], "KeyError: 'nodes'"),
-    ], ids=["rcc_fixed-without-sizes", "rcc-without-eps", "drcc-without-nodes"])
+        ({"kind": "cdcc", "nodes": 3, "K": 2, "k": 2}, {"kind": "uniform"}, [8],
+         "ValidationError"),
+    ], ids=["rcc_fixed-without-sizes", "rcc-without-eps", "drcc-without-nodes",
+            "cdcc-with-K-and-k"])
     def test_failures_isolated_per_cell_for_any_exception(self, bad, good, sizes, error):
         assert_failure_isolated(bad, good, sizes, error)
 
