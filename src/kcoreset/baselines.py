@@ -62,7 +62,7 @@ def sensitivity_sample(
     if k is None:
         k = max(1, min(pointset.size, m // 2))
     k = min(k, pointset.size)
-    bundle = k_clustering(pointset, k, z=2, seed=int(rng.integers(2**63)))
+    bundle = k_clustering(pointset, k, z=2)
     d = np.linalg.norm(pointset.points - bundle.centers[bundle.assignment], axis=1)
     contrib = pointset.weights * d**2
     total = contrib.sum()

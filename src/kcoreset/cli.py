@@ -86,7 +86,9 @@ def main() -> None:
               help="Cost exponent: 2 for squared distances, 1 for plain distances.")
 @click.option("--k", type=int, default=None,
               help="Cluster count for the sensitivity baseline's bicriteria step.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Sampling seed of uniform, sensitivity and farthest; "
+                   "rcc and rcc-fixed draw no randomness.")
 @click.option("--out", required=True, type=click.Path(), callback=_check_out_dir,
               help="Output prefix; writes <out>.csv and <out>.json.")
 @click.option("--weight-column", default="weight", show_default=True)
@@ -184,7 +186,7 @@ def distributed(dataset, algo, nodes, budget, centers, z, scheme, n0, seed, out,
 @click.option("--positive-label", default=None,
               help="Class treated as +1 (svm).")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), default=None, callback=_check_out_dir,
+@click.option("--out", type=click.Path(dir_okay=False), default=None, callback=_check_out_dir,
               help="Write the JSON report here instead of stdout.")
 @click.option("--weight-column", default="weight", show_default=True)
 @click.option("--label-column", default=None)

@@ -16,13 +16,14 @@ Weiszfeld solver is also the only 1-median code:
 ``weighted_geometric_median`` is its one-segment call, and
 ``brute_force_optimal`` solves all subsets in one call.
 
-Initialization is recursive: a 2m-center run starts from the union of
-per-cluster 2-center solutions of an m-center run.  The split scores every
-point once against its center in the m-center run (that cluster's
-1-center, once the run has converged), sorts the points by cluster once,
-and solves every cluster's 2-center run from {its center, its most
-expensive point} as one problem of a single Lloyd call; a cluster that is
-empty or already at cost 0 keeps its center twice.  This ordering makes
+Initialization is recursive and draws no randomness: a 2m-center run
+starts from the union of per-cluster 2-center solutions of an m-center run,
+and a (2m+1)-center run adds the costliest point against those 2m centers.
+The split scores every point once against its center in the m-center run
+(that cluster's 1-center, once the run has converged), sorts the points by
+cluster once, and solves every cluster's 2-center run from {its center, its
+most expensive point} as one problem of a single Lloyd call; a cluster that
+is empty or already at cost 0 keeps its center twice.  This ordering makes
 the reported costs satisfy, by construction,
 
   * each returned center is a (near-)optimal 1-center of its cluster,
@@ -350,48 +351,40 @@ def add_costliest_point(pointset: WeightedPointSet, run: ClusteringResult) -> Cl
 class _Recursion:
     """The k/2 -> k recursion on one weighted point set, for one call.
 
-    Only odd k draw from the rng, so the run for a power-of-two k, and the
-    2-center split of its clusters, are fixed by (points, weights, z).
-    Each is computed once here and shared by every k solved through this
-    object; runs that draw from the rng are never kept.
+    The engine draws no randomness: every run, and the 2-center split of its
+    clusters, is fixed by (points, weights, z).  Each is computed once here
+    and shared by every k solved through this object.  An odd k takes the
+    2*(k//2) split centers plus the costliest point against them,
+    argmax w_p * min_q ||p - q||^z, the first one on ties.
     """
 
     def __init__(self, pointset: WeightedPointSet, z: int):
         _validate_z(z)
         self.pointset, self.z = pointset, z
-        self._runs = {}    # power-of-two k -> k-center run
-        self._splits = {}  # power-of-two k -> 2k-center init split from that run
+        self._runs = {}    # k -> k-center run
+        self._splits = {}  # k -> 2k-center init split from that run
 
-    def run(self, k: int, rng) -> ClusteringResult:
+    def run(self, k: int) -> ClusteringResult:
         if k in self._runs:
             return self._runs[k]
         points, weights, z = self.pointset.points, self.pointset.weights, self.z
-        n = points.shape[0]
-        if k >= n:
+        if k >= points.shape[0]:
             run = _trivial_result(points, weights, points.copy(), z)
         elif k == 1:
             run = _single_center(points, weights, z)
         else:
-            init = self._split(k // 2, rng)
+            init = self._split(k // 2)
             if k % 2 == 1:
-                init = np.vstack([init, points[rng.integers(n)]])
+                scores = weights * cdist(points, init).min(axis=1) ** z
+                init = np.vstack([init, points[np.argmax(scores)]])
             run = _lloyd(points, weights, init, z)
-        if _is_power_of_two(k):
-            self._runs[k] = run
+        self._runs[k] = run
         return run
 
-    def _split(self, k: int, rng) -> np.ndarray:
-        if k in self._splits:
-            return self._splits[k]
-        base = self.run(k, rng)
-        split = _split_init(self.pointset.points, self.pointset.weights, base)[0]
-        if _is_power_of_two(k):
-            self._splits[k] = split
-        return split
-
-
-def _is_power_of_two(k: int) -> bool:
-    return k & (k - 1) == 0
+    def _split(self, k: int) -> np.ndarray:
+        if k not in self._splits:
+            self._splits[k] = _split_init(self.pointset.points, self.pointset.weights, self.run(k))[0]
+        return self._splits[k]
 
 
 def _split_init(points, weights, base: ClusteringResult):
@@ -431,17 +424,18 @@ def _split_init(points, weights, base: ClusteringResult):
     return init, split_costs
 
 
-def k_clustering(
-    pointset: WeightedPointSet, k: int, z: int = 2, seed: int = 0
-) -> ClusteringResult:
+def k_clustering(pointset: WeightedPointSet, k: int, z: int = 2) -> ClusteringResult:
     """Cluster a weighted point set around k centers.
+
+    The run draws no randomness: it is fixed by the points, weights, k and
+    z.  An odd k seeds its extra center at the costliest point against the
+    split centers of the (k//2)-center run.
 
     Args:
         pointset: the data.
         k: number of centers, 1 <= k <= |P|; k == |P| returns the points
             themselves at cost 0.
         z: cost exponent, 2 for k-means, 1 for k-median.
-        seed: controls the random extra center used for odd k.
 
     Returns:
         ClusteringResult whose centers are 1-center optimal for their own
@@ -450,7 +444,7 @@ def k_clustering(
     """
     if not 1 <= k <= pointset.size:
         raise ValidationError(f"k must be in [1, {pointset.size}], got {k}")
-    return _Recursion(pointset, z).run(k, np.random.default_rng(seed))
+    return _Recursion(pointset, z).run(k)
 
 
 @dataclass
@@ -481,16 +475,14 @@ def extend_to_doubled(pointset: WeightedPointSet, base: ClusteringResult) -> Dou
     return DoubledRun(base=base, doubled=doubled, split_costs=split_costs)
 
 
-def k_clustering_doubled(
-    pointset: WeightedPointSet, k: int, z: int = 2, seed: int = 0
-) -> DoubledRun:
+def k_clustering_doubled(pointset: WeightedPointSet, k: int, z: int = 2) -> DoubledRun:
     """Run k-clustering and the 2k-clustering seeded from its clusters.
 
-    Matches k_clustering(pointset, 2*k, ...) exactly for the same seed while
-    also exposing the intermediate k-center run and per-cluster 2-center
-    costs needed by the size search and the error certificate.
+    Matches k_clustering(pointset, 2*k, z) exactly while also exposing the
+    intermediate k-center run and per-cluster 2-center costs needed by the
+    size search and the error certificate.
     """
-    return extend_to_doubled(pointset, k_clustering(pointset, k, z=z, seed=seed))
+    return extend_to_doubled(pointset, k_clustering(pointset, k, z=z))
 
 
 @dataclass

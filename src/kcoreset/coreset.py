@@ -220,15 +220,16 @@ def rcc_fixed_size(
 ) -> Coreset:
     """Robust coreset of exactly k cluster centers.
 
-    When ``certify`` is set, the 2k-center continuation is run to compute
-    the error certificate, and the coreset's eps_bound is the realized
+    The construction draws no randomness, so ``seed`` is ignored; the
+    keyword stays only so that existing callers keep working.  When
+    ``certify`` is set, the 2k-center continuation is run to compute the
+    error certificate, and the coreset's eps_bound is the realized
     max-distance bound (the tighter of the two certified values); without
     it only the k-center run is computed.
     """
-    run = k_clustering(pointset, k, z=z, seed=seed)
+    run = k_clustering(pointset, k, z=z)
     coreset = coreset_from_run(
-        pointset, run,
-        provenance={"algorithm": "rcc_fixed", "seed": seed, "rho": rho},
+        pointset, run, provenance={"algorithm": "rcc_fixed", "rho": rho}
     )
     if certify:
         cert = certify_eps(pointset, run, rho=rho)
@@ -242,7 +243,6 @@ def rcc(
     eps: float,
     rho: float = 1.0,
     z: int = 2,
-    seed: int = 0,
     k_max: int | None = None,
 ) -> Coreset:
     """Adaptively sized robust coreset meeting a target error bound.
@@ -251,7 +251,8 @@ def rcc(
     w_min * (eps/rho)^z, which certifies that every rho-Lipschitz cost
     function (with per-point cost >= 1) sees at most a (1 +/- eps) relative
     error.  The search doubles k and then binary-refines to the smallest
-    passing size on that lattice.
+    passing size on that lattice.  It draws no randomness: the result is
+    fixed by the data, eps, rho, z and k_max.
 
     Raises ThresholdNotReachedError when no k up to k_max passes; the error
     carries the best gap seen.
@@ -264,15 +265,12 @@ def rcc(
         k_max = max(1, pointset.size // 2)
     k_max = min(k_max, pointset.size)
     threshold = pointset.w_min * (eps / rho) ** z
-    rng = np.random.default_rng(seed)
 
     runs: dict[int, DoubledRun] = {}
 
     def gap_at(k: int) -> float:
         if k not in runs:
-            runs[k] = k_clustering_doubled(
-                pointset, k, z=z, seed=int(rng.integers(2**63))
-            )
+            runs[k] = k_clustering_doubled(pointset, k, z=z)
         return max(runs[k].gap, 0.0)
 
     # double until the gap certificate passes, then binary-refine downwards;
@@ -310,7 +308,6 @@ def rcc(
             "algorithm": "rcc",
             "eps": eps,
             "rho": rho,
-            "seed": seed,
             "sizes_tried": sorted(runs),
         },
     )

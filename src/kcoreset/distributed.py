@@ -112,35 +112,29 @@ class ProtocolTrace:
         }
 
 
-def node_local_centers(
-    shard: WeightedPointSet, K: int, z: int = 1, seed: int = 0
-) -> LocalLadder:
+def node_local_centers(shard: WeightedPointSet, K: int, z: int = 1) -> LocalLadder:
     """Cluster a shard for every center count k = 1..K.
 
     K is clamped to the shard size when necessary.  The k-center candidate
-    equals ``k_clustering(shard, k, z, seed=s_k)`` with s_k drawn from
-    ``seed``.  All candidates come from one k/2 -> k recursion, so the runs
-    for power-of-two k, which draw no randomness and on which the larger k
-    build, are computed once per ladder.  The reported costs are
-    non-increasing in k: whenever the k-center run costs more than the
-    (k-1)-center run, :func:`add_costliest_point` grows the previous run by
-    its most expensive point and the cheaper of the two results is kept.
+    equals ``k_clustering(shard, k, z)``; all candidates come from one
+    k/2 -> k recursion, so every run on which a larger k builds is computed
+    once per ladder.  The reported costs are non-increasing in k: whenever
+    the k-center run costs more than the (k-1)-center run,
+    :func:`add_costliest_point` grows the previous run by its most expensive
+    point and the cheaper of the two results is kept.
     """
     if K < 1:
         raise ValidationError("K must be >= 1")
-    clamped = K > shard.size
-    rng = np.random.default_rng(seed)
     recursion = _Recursion(shard, z)
     runs = []
     for k in range(1, min(K, shard.size) + 1):
-        run_seed = int(rng.integers(2**63))
-        cand = recursion.run(k, np.random.default_rng(run_seed))
+        cand = recursion.run(k)
         if runs and cand.cost > runs[-1].cost:
             alt = add_costliest_point(shard, runs[-1])
             if alt.cost < cand.cost:
                 cand = alt
         runs.append(cand)
-    return LocalLadder(runs=runs, clamped=clamped)
+    return LocalLadder(runs=runs, clamped=K > shard.size)
 
 
 def _center_floor(N: int, ladder_lengths: list, k_fixed: int | None) -> int:
@@ -283,8 +277,9 @@ def drcc(
         N: global coreset size budget (centers plus samples).
         K: largest per-node center count; a node's ladder has min(K, size) runs.
         z: clustering cost exponent used node-side.
-        seed: master seed; node clustering, server sampling and node
-            sampling each consume independent streams derived from it.
+        seed: master seed; the server's sample split and each node's
+            sampling consume independent streams derived from it (node
+            clustering draws no randomness).
         k_fixed: the fixed-allocation variant: the allocator's per-node
             floor and cap are both k_fixed, so every node keeps exactly
             k_fixed centers.  :func:`_center_floor` checks the budget and
@@ -292,20 +287,22 @@ def drcc(
     """
     n = len(shards)
     _center_floor(N, [min(K, shard.size) for shard in shards], k_fixed)
-    # seeds[:n] for the ladders, seeds[n] for the server, seeds[n + 1:] for sampling
-    seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(2 * n + 1)]
+    # one stream per node's sampling, then one for the server
+    *sample_seeds, server_seed = [
+        int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(n + 1)
+    ]
 
     trace = ProtocolTrace()
     ladders, reports = [], []
     for j, shard in enumerate(shards):
-        ladder = node_local_centers(shard, K, z=z, seed=seeds[j])
+        ladder = node_local_centers(shard, K, z=z)
         if ladder.clamped:
             trace.notes.append(f"node {j}: ladder clamped to shard size {shard.size}")
         ladders.append(ladder)
         reports.append(NodeReport(node_id=j, local_costs=ladder.costs))
         trace.record(f"node{j}", "server", "cost_ladder", scalars=len(ladder.costs))
 
-    config = server_allocate(reports, N, seed=seeds[n], k_fixed=k_fixed)
+    config = server_allocate(reports, N, seed=server_seed, k_fixed=k_fixed)
     if config.total_cost == 0:
         trace.notes.append("all reported costs are zero; no samples drawn")
     for j in range(n):
@@ -320,7 +317,7 @@ def drcc(
             config.t_alloc[j],
             config.c_over_t,
             z=z,
-            seed=seeds[n + 1 + j],
+            seed=sample_seeds[j],
         )
         # only exact-zero residuals drop out (e.g. a center whose cell is empty)
         keep = local.center_weights != 0

@@ -148,6 +148,8 @@ def quantile_grid(values, grid_points: int = CDF_GRID_POINTS):
 
 
 _SYNTH_KINDS = ("blobs", "uniform")
+# the constructions that take a coreset size
+_SIZED_KINDS = ("rcc_fixed", "uniform", "sensitivity", "farthest", "drcc", "cdcc")
 
 
 def _load_config_dataset(entry: dict) -> WeightedPointSet:
@@ -203,31 +205,30 @@ def construct_coreset(
 ) -> Coreset:
     """Build a coreset according to an algorithm spec dict.
 
-    ``kind`` selects the construction; distributed kinds re-partition the
-    dataset with a seed derived from ``seed``, so every run sees a fresh
-    random distribution of the data over nodes.  Their per-node center
-    count is read from ``K`` or ``k`` (default 5 for drcc, 2 for cdcc).
+    ``kind`` selects the construction; every kind but ``rcc`` needs a
+    ``size``.  ``rcc`` and ``rcc_fixed`` draw no randomness and ignore
+    ``seed``.  Distributed kinds re-partition the dataset with a seed
+    derived from ``seed``, so every run sees a fresh random distribution of
+    the data over nodes.  Their per-node center count is read from ``K`` or
+    ``k`` (default 5 for drcc, 2 for cdcc).
     """
     kind = algorithm.get("kind", algorithm.get("name"))
     z = int(algorithm.get("z", 1 if kind == "drcc" else 2))
+    rho = float(algorithm.get("rho", 1.0))
     if kind == "rcc":
-        return rcc(
-            pointset,
-            eps=float(algorithm["eps"]),
-            rho=float(algorithm.get("rho", 1.0)),
-            z=z,
-            seed=seed,
-        )
+        return rcc(pointset, eps=float(algorithm["eps"]), rho=rho, z=z)
+    if kind in _SIZED_KINDS:
+        if size is None:
+            raise ValidationError(f"algorithm kind {kind!r} needs a coreset size: set 'sizes'")
+        size = int(size)
     if kind == "rcc_fixed":
-        return rcc_fixed_size(
-            pointset, int(size), z=z, seed=seed, rho=float(algorithm.get("rho", 1.0))
-        )
+        return rcc_fixed_size(pointset, size, z=z, rho=rho)
     if kind == "uniform":
-        return uniform_sample(pointset, int(size), seed=seed)
+        return uniform_sample(pointset, size, seed=seed)
     if kind == "sensitivity":
-        return sensitivity_sample(pointset, int(size), k=algorithm.get("k"), seed=seed)
+        return sensitivity_sample(pointset, size, k=algorithm.get("k"), seed=seed)
     if kind == "farthest":
-        return farthest_point(pointset, int(size), seed=seed)
+        return farthest_point(pointset, size, seed=seed)
     if kind in ("drcc", "cdcc"):
         if "K" in algorithm and "k" in algorithm:
             raise ValidationError("'K' and 'k' name the same per-node center count; set one")
@@ -242,7 +243,7 @@ def construct_coreset(
         shards = partition_dataset(pointset, spec)
         proto_seed = int(rng.integers(2**63))
         coreset, _ = drcc(
-            shards, int(size), K=centers, z=z, seed=proto_seed,
+            shards, size, K=centers, z=z, seed=proto_seed,
             k_fixed=centers if kind == "cdcc" else None,
         )
         return coreset

@@ -233,7 +233,7 @@ def problem_cost(problem: MLProblem, data, model) -> float:
 
 
 def solve_problem(problem: MLProblem, pointset: WeightedPointSet, seed: int = 0):
-    """Train the problem's model on a weighted point set."""
+    """Train the problem's model on a weighted point set; only pca reads ``seed``."""
     if problem.name == "meb":
         return meb_solve(pointset)
     if problem.name in CLUSTER_Z:
@@ -242,7 +242,7 @@ def solve_problem(problem: MLProblem, pointset: WeightedPointSet, seed: int = 0)
             raise ValidationError(
                 f"cannot fit {k} centers on {pointset.size} points"
             )
-        run = k_clustering(pointset, k, z=CLUSTER_Z[problem.name], seed=seed)
+        run = k_clustering(pointset, k, z=CLUSTER_Z[problem.name])
         return CentersModel(centers=run.centers)
     if problem.name == "pca":
         return pca_solve(pointset, problem.params["l"], seed=seed)

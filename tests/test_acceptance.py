@@ -68,21 +68,21 @@ def random_weighted_set(rng, n, dim, w_lo=0.5, w_hi=3.0):
 def test_01_certificate_dominates_realized_meb_error():
     """150x5 labeled data, 20-center coresets: relative MEB error <= bound.
 
-    100 Monte Carlo constructions (50 per cost exponent); the certificate
-    must win every single time, within 2 minutes.
+    100 Monte Carlo constructions (50 data sets, one per run, times two cost
+    exponents); the construction draws no randomness, so each run draws its
+    own data.  The certificate must win every single time, within 2 minutes.
     """
     with criterion(1, "certificate dominates realized error"):
         started = time.perf_counter()
-        ps = synthetic_blobs(150, num_features=4, num_labels=3, seed=0)
-        assert ps.dim == 5 and ps.size == 150
         meb = make_problem("meb")
-        full_model = solve_problem(meb, ps, seed=0)
-        full_cost = problem_cost(meb, ps, full_model)
-
         worst_margin = math.inf
-        for z in (1, 2):
-            for run in range(50):
-                coreset = rcc_fixed_size(ps, 20, z=z, seed=run, rho=1.0)
+        for run in range(50):
+            ps = synthetic_blobs(150, num_features=4, num_labels=3, seed=run)
+            assert ps.dim == 5 and ps.size == 150
+            full_model = solve_problem(meb, ps, seed=0)
+            full_cost = problem_cost(meb, ps, full_model)
+            for z in (1, 2):
+                coreset = rcc_fixed_size(ps, 20, z=z, rho=1.0)
                 bound = coreset.certificate.eps_maxdist
                 out = evaluate_coreset(
                     ps, coreset, meb, seed=run,
@@ -174,7 +174,7 @@ def test_03_initialization_structural_guarantees():
             n = int(rng.integers(20, 201))
             k = int(rng.integers(1, 6))
             ps = random_weighted_set(rng, n, int(rng.integers(2, 5)))
-            run = k_clustering_doubled(ps, k, z=z, seed=i)
+            run = k_clustering_doubled(ps, k, z=z)
 
             for ci in range(run.base.k):
                 idx = run.base.cluster_indices(ci)
@@ -194,7 +194,7 @@ def test_03_initialization_structural_guarantees():
             d = np.linalg.norm(ps.points - mu, axis=1)
             worst = ps.points[int(np.argmax(ps.weights * d**z))]
             seeded_cost = clustering_cost(ps, np.vstack([mu, worst]), z=z)
-            two = k_clustering(ps, 2, z=z, seed=i)
+            two = k_clustering(ps, 2, z=z)
             assert two.cost <= seeded_cost + tol, i
         print("  100 instances, all three inequalities hold")
 
@@ -225,7 +225,7 @@ def test_04_engine_vs_exhaustive_and_partition_bounds():
             big = brute_force_optimal(ps, min(2 * k, n), z=z)
             opt_k = float(big.costs_by_size[k - 1])
             opt_2k = float(big.costs_by_size[min(2 * k, n) - 1])
-            engine = k_clustering(ps, k, z=z, seed=i)
+            engine = k_clustering(ps, k, z=z)
             assert engine.cost >= opt_k - 1e-9, i
 
             whole_gap = max(opt_k - opt_2k, 0.0)
@@ -253,10 +253,7 @@ def test_04_engine_vs_exhaustive_and_partition_bounds():
 def fixed_protocol_instance(K: int):
     ps = synthetic_uniform(500, 3, 0.0, 10.0, seed=11)
     shards = partition_dataset(ps, ShardSpec(scheme="uniform", n=3, seed=5))
-    ladders = [
-        node_local_centers(shard, K=K, z=1, seed=j)
-        for j, shard in enumerate(shards)
-    ]
+    ladders = [node_local_centers(shard, K=K, z=1) for shard in shards]
     reports = [NodeReport(j, ladder.costs) for j, ladder in enumerate(ladders)]
     model = np.random.default_rng(99).uniform(0.0, 10.0, size=(3, 3))
     point_costs = [

@@ -317,6 +317,22 @@ def test_out_in_missing_directory_is_usage_error_before_any_work(
     assert "Traceback" not in result.output
 
 
+def test_evaluate_out_that_is_a_directory_is_usage_error_before_any_work(
+    runner, dataset_csv, tmp_path, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dataset was loaded before --out was checked")
+
+    monkeypatch.setattr("kcoreset.cli._load", refuse)
+    result = runner.invoke(main, [
+        "evaluate", dataset_csv, str(tmp_path / "core.csv"), "--problem", "meb",
+        "--out", str(tmp_path),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "is a directory" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_benchmark_config_that_is_not_an_object_is_usage_error(runner, tmp_path):
     config_path = tmp_path / "list.json"
     config_path.write_text("[1, 2]")

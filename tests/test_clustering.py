@@ -22,6 +22,7 @@ from kcoreset import (
     clustering_cost,
     k_clustering,
     k_clustering_doubled,
+    normalize_features,
     one_mean,
     one_median,
     synthetic_blobs,
@@ -145,25 +146,33 @@ class TestEngine:
         res1 = k_clustering(ps, 1, z=1)
         assert res1.cost == pytest.approx(one_median(ps)[1], abs=1e-9)
 
-    def test_deterministic_given_seed(self):
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_deterministic_at_odd_and_even_k(self, k):
+        # the engine draws no randomness: the data alone fixes every run
         ps = as_set(*random_instance(21, n_range=(40, 40)))
-        a = k_clustering(ps, 5, seed=3)
-        b = k_clustering(ps, 5, seed=3)
+        a = k_clustering(ps, k)
+        b = k_clustering(ps, k)
         assert np.array_equal(a.centers, b.centers)
+        assert np.array_equal(a.assignment, b.assignment)
         assert a.cost == b.cost
 
-    def test_even_k_ignores_seed(self):
-        # randomness only enters through the extra center of odd sizes
-        ps = as_set(*random_instance(22, n_range=(40, 40)))
-        a = k_clustering(ps, 4, seed=0)
-        b = k_clustering(ps, 4, seed=999)
-        assert np.array_equal(a.centers, b.centers)
+    @pytest.mark.parametrize("z", [1, 2])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_odd_k_finds_every_blob(self, z, seed):
+        # the extra center of k = 3 goes to the costliest point, never to a
+        # random point in a blob that the k = 2 split already covers
+        ps = normalize_features(synthetic_blobs(2000, 4, 3, seed=seed))
+        labels = np.rint(ps.label_values() / ps.encoding.tau).astype(int)
+        run = k_clustering(ps, 3, z)
+        majority = [np.bincount(run.assignment[labels == label], minlength=3).argmax()
+                    for label in range(3)]
+        assert sorted(majority) == [0, 1, 2]
 
     @pytest.mark.parametrize("z", [1, 2])
     @pytest.mark.parametrize("seed", range(8))
     def test_cost_history_never_increases(self, z, seed):
         ps = as_set(*random_instance(seed, n_range=(15, 40)))
-        res = k_clustering(ps, 5, z=z, seed=seed)
+        res = k_clustering(ps, 5, z=z)
         history = np.array(res.cost_history)
         assert np.all(np.diff(history) <= 1e-9 * (1.0 + history[0]))
 
@@ -173,7 +182,7 @@ class TestEngine:
             pts, w = random_instance(100 + seed, n_range=(5, 7), dim_range=(2, 3))
             ps = as_set(pts, w)
             k = 2 + seed % 2
-            res = k_clustering(ps, k, z=z, seed=seed)
+            res = k_clustering(ps, k, z=z)
             opt, _ = exhaustive_clustering(pts, w, k, z)
             assert res.cost >= opt - 1e-7 * (1.0 + opt)
 
@@ -181,7 +190,7 @@ class TestEngine:
         for seed in range(6):
             ps = as_set(*random_instance(200 + seed, n_range=(20, 50)))
             for z in (1, 2):
-                res = k_clustering(ps, 4, z=z, seed=seed)
+                res = k_clustering(ps, 4, z=z)
                 assert res.converged
                 tol = 1e-9 if z == 2 else 1e-6
                 for i in range(res.k):
@@ -201,7 +210,7 @@ class TestEngine:
 
     def test_duplicate_heavy_points_still_converge(self):
         pts = np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0]] * 3 + [[9.0, 0.0]])
-        res = k_clustering(as_set(pts), 3, seed=1)
+        res = k_clustering(as_set(pts), 3)
         assert res.cost == pytest.approx(0.0, abs=1e-18)
 
     def test_invalid_k_rejected(self):
@@ -214,7 +223,7 @@ class TestEngine:
     @pytest.mark.parametrize("z", [1, 2])
     def test_add_costliest_point_grows_run_without_raising_cost(self, z):
         ps = as_set(*random_instance(31, n_range=(25, 25)))
-        run = k_clustering(ps, 3, z=z, seed=2)
+        run = k_clustering(ps, 3, z=z)
         grown = add_costliest_point(ps, run)
         assert grown.k == run.k + 1
         assert grown.cost <= run.cost + 1e-9 * (1.0 + run.cost)
@@ -289,7 +298,7 @@ class TestDoubledRun:
     def test_gap_nonnegative_and_split_sandwich(self, z, seed):
         ps = as_set(*random_instance(300 + seed, n_range=(12, 60)))
         k = 1 + seed % 4
-        run = k_clustering_doubled(ps, k, z=z, seed=seed)
+        run = k_clustering_doubled(ps, k, z=z)
         slack = 1e-9 * (1.0 + run.base.cost) if z == 2 else 1e-6 * (1.0 + run.base.cost)
         assert run.doubled.cost <= run.split_costs.sum() + slack
         assert run.split_costs.sum() <= run.base.cost + slack
@@ -298,14 +307,14 @@ class TestDoubledRun:
     def test_matches_plain_run_of_double_size(self):
         ps = as_set(*random_instance(41, n_range=(30, 30)))
         for k, z, seed in [(3, 2, 5), (2, 1, 9), (5, 2, 1)]:
-            run = k_clustering_doubled(ps, k, z=z, seed=seed)
-            plain = k_clustering(ps, 2 * k, z=z, seed=seed)
+            run = k_clustering_doubled(ps, k, z=z)
+            plain = k_clustering(ps, 2 * k, z=z)
             assert np.array_equal(run.doubled.centers, plain.centers)
             assert run.doubled.cost == plain.cost
 
     def test_doubling_past_n_returns_all_points(self):
         ps = as_set(*random_instance(55, n_range=(9, 9)))
-        run = k_clustering_doubled(ps, 5, z=2, seed=0)
+        run = k_clustering_doubled(ps, 5, z=2)
         assert run.doubled.cost == 0.0
         assert run.doubled.k == ps.size
 
@@ -324,7 +333,7 @@ class TestDoubledRun:
         seen_empty = seen_zero = 0
         for ps in sets:
             for k in (2, 3, 5, 8):
-                run = k_clustering_doubled(ps, k, z=z, seed=1)
+                run = k_clustering_doubled(ps, k, z=z)
                 base = run.base
                 for i in range(base.k):
                     idx = base.cluster_indices(i)

@@ -44,7 +44,7 @@ def clustered_set(seed, n=80, blobs=4, spread=0.01, d=3):
 class TestCertify:
     def test_formulas_recomputed_by_hand(self):
         ps = spread_set(1)
-        run = k_clustering_doubled(ps, 4, z=2, seed=0)
+        run = k_clustering_doubled(ps, 4, z=2)
         cert = certify_eps(ps, run, rho=1.5)
         gap = max(run.base.cost - run.doubled.cost, 0.0)
         assert cert.gap == pytest.approx(gap)
@@ -56,7 +56,7 @@ class TestCertify:
 
     def test_scales_linearly_in_rho(self):
         ps = spread_set(2)
-        run = k_clustering_doubled(ps, 3, z=1, seed=1)
+        run = k_clustering_doubled(ps, 3, z=1)
         one = certify_eps(ps, run, rho=1.0)
         five = certify_eps(ps, run, rho=5.0)
         assert five.eps_gap == pytest.approx(5.0 * one.eps_gap)
@@ -64,9 +64,9 @@ class TestCertify:
 
     def test_accepts_plain_run_and_extends_it(self):
         ps = spread_set(3)
-        base = k_clustering(ps, 3, z=2, seed=4)
+        base = k_clustering(ps, 3, z=2)
         cert = certify_eps(ps, base)
-        run = k_clustering_doubled(ps, 3, z=2, seed=4)
+        run = k_clustering_doubled(ps, 3, z=2)
         assert cert.gap == pytest.approx(max(run.gap, 0.0))
 
     @pytest.mark.parametrize("z", [1, 2])
@@ -75,14 +75,14 @@ class TestCertify:
         # the realized max distance never exceeds what the gap certifies,
         # so the gap bound is always the weaker (safe) one
         ps = spread_set(40 + seed, n=60)
-        run = k_clustering_doubled(ps, 1 + seed % 5, z=z, seed=seed)
+        run = k_clustering_doubled(ps, 1 + seed % 5, z=z)
         cert = certify_eps(ps, run)
         slack = 1e-9 if z == 2 else 1e-5
         assert cert.eps_maxdist <= cert.eps_gap + slack
 
     def test_bad_rho_rejected(self):
         ps = spread_set(4, n=10)
-        run = k_clustering_doubled(ps, 2, seed=0)
+        run = k_clustering_doubled(ps, 2)
         for rho in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValidationError):
                 certify_eps(ps, run, rho=rho)
@@ -101,7 +101,7 @@ class TestCertify:
 class TestCoresetFromRun:
     def test_weights_are_cluster_weight_sums(self):
         ps = spread_set(5, n=40)
-        run = k_clustering(ps, 4, seed=2)
+        run = k_clustering(ps, 4)
         coreset = coreset_from_run(ps, run)
         for i, c in enumerate(coreset.points):
             row = np.flatnonzero((run.centers == c).all(axis=1))[0]
@@ -114,7 +114,7 @@ class TestCoresetFromRun:
         # empty and must not appear in the coreset
         pts = np.array([[0.0, 0.0]] * 5 + [[4.0, 4.0]] * 5)
         ps = as_set(pts)
-        run = k_clustering(ps, 4, seed=0)
+        run = k_clustering(ps, 4)
         coreset = coreset_from_run(ps, run)
         assert coreset.size <= 2
         assert coreset.total_weight == pytest.approx(10.0)
@@ -167,7 +167,7 @@ class TestAdaptive:
     def test_meets_the_gap_threshold(self):
         ps = clustered_set(10)
         eps = 0.3
-        coreset = rcc(ps, eps=eps, z=2, seed=0)
+        coreset = rcc(ps, eps=eps, z=2)
         cert = coreset.certificate
         assert cert.gap <= ps.w_min * eps**2 + 1e-12
         assert coreset.eps_bound == eps
@@ -176,35 +176,35 @@ class TestAdaptive:
 
     def test_tighter_target_never_gives_larger_gap(self):
         ps = clustered_set(11)
-        loose = rcc(ps, eps=0.3, z=2, seed=3)
-        tight = rcc(ps, eps=0.1, z=2, seed=3)
+        loose = rcc(ps, eps=0.3, z=2)
+        tight = rcc(ps, eps=0.1, z=2)
         assert tight.certificate.gap <= ps.w_min * 0.1**2 + 1e-12
         assert loose.certificate.gap <= ps.w_min * 0.3**2 + 1e-12
         assert tight.size >= loose.size
 
     def test_deterministic(self):
         ps = clustered_set(12)
-        a = rcc(ps, eps=0.3, seed=9)
-        b = rcc(ps, eps=0.3, seed=9)
+        a = rcc(ps, eps=0.3)
+        b = rcc(ps, eps=0.3)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.weights, b.weights)
 
     def test_unreachable_target_raises_with_diagnostics(self):
         ps = spread_set(13, n=40)
         with pytest.raises(ThresholdNotReachedError) as err:
-            rcc(ps, eps=1e-6, z=2, seed=0, k_max=8)
+            rcc(ps, eps=1e-6, z=2, k_max=8)
         assert err.value.best_gap > 0
         assert 1 <= err.value.best_k <= 8
 
     def test_k_max_respected(self):
         ps = clustered_set(14, blobs=2, spread=0.005)
-        coreset = rcc(ps, eps=0.3, z=2, seed=1, k_max=4)
+        coreset = rcc(ps, eps=0.3, z=2, k_max=4)
         assert coreset.size <= 4
 
     def test_z1_threshold_uses_first_power(self):
         ps = clustered_set(15, spread=0.001)
         eps = 0.5
-        coreset = rcc(ps, eps=eps, z=1, seed=2)
+        coreset = rcc(ps, eps=eps, z=1)
         assert coreset.certificate.gap <= ps.w_min * eps + 1e-12
 
     def test_invalid_inputs(self):

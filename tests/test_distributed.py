@@ -39,27 +39,27 @@ class TestLocalLadder:
     @pytest.mark.parametrize("seed", range(6))
     def test_costs_never_increase_with_k(self, z, seed):
         shard = random_set(seed)
-        ladder = node_local_centers(shard, 8, z=z, seed=seed)
+        ladder = node_local_centers(shard, 8, z=z)
         costs = ladder.costs
         assert len(costs) == 8
         assert np.all(np.diff(costs) <= 1e-9 * (1.0 + costs[0]))
 
     def test_clamped_when_budget_exceeds_shard(self):
         shard = random_set(1, n=5)
-        ladder = node_local_centers(shard, 9, seed=0)
+        ladder = node_local_centers(shard, 9)
         assert ladder.clamped
         assert len(ladder.runs) == 5
         assert ladder.costs[-1] == 0.0
 
     def test_each_rung_has_matching_center_count(self):
         shard = random_set(2)
-        ladder = node_local_centers(shard, 5, seed=3)
+        ladder = node_local_centers(shard, 5)
         assert [run.k for run in ladder.runs] == [1, 2, 3, 4, 5]
 
     def test_deterministic(self):
         shard = random_set(3)
-        a = node_local_centers(shard, 4, seed=11).costs
-        b = node_local_centers(shard, 4, seed=11).costs
+        a = node_local_centers(shard, 4).costs
+        b = node_local_centers(shard, 4).costs
         assert np.array_equal(a, b)
 
     def test_invalid_budget(self):
@@ -68,30 +68,29 @@ class TestLocalLadder:
 
     @pytest.mark.parametrize("z", [1, 2])
     def test_rungs_match_independent_runs(self, z):
-        # K = 9 covers the shared power-of-two runs 1, 2, 4, 8 and the
-        # seeded runs 3, 5, 6, 7, 9
+        # K = 9 covers the power-of-two runs 1, 2, 4, 8 and the odd and
+        # other even runs 3, 5, 6, 7, 9
         for seed in range(3):
             shard = random_set(40 + seed)
-            assert_same_ladder(node_local_centers(shard, 9, z=z, seed=seed),
-                               ladder_of_independent_runs(shard, 9, z, seed))
+            assert_same_ladder(node_local_centers(shard, 9, z=z),
+                               ladder_of_independent_runs(shard, 9, z))
 
     def test_consecutive_ladders_share_no_state(self):
         first, second = random_set(50), random_set(51)
         assert first.points.shape == second.points.shape
-        node_local_centers(first, 9, z=1, seed=4)
-        ladder = node_local_centers(second, 9, z=1, seed=4)
-        assert_same_ladder(ladder, ladder_of_independent_runs(second, 9, 1, 4))
+        node_local_centers(first, 9, z=1)
+        ladder = node_local_centers(second, 9, z=1)
+        assert_same_ladder(ladder, ladder_of_independent_runs(second, 9, 1))
         # measured on the second shard, not on the first
         for run in ladder.runs:
             assert run.cost == pytest.approx(clustering_cost(second, run.centers, z=1))
 
 
-def ladder_of_independent_runs(shard, K, z, seed):
+def ladder_of_independent_runs(shard, K, z):
     """The node ladder from one k_clustering call per rung, nothing shared."""
-    rng = np.random.default_rng(seed)
     runs = []
     for k in range(1, K + 1):
-        cand = k_clustering(shard, k, z=z, seed=int(rng.integers(2**63)))
+        cand = k_clustering(shard, k, z=z)
         if runs and cand.cost > runs[-1].cost:
             alt = add_costliest_point(shard, runs[-1])
             if alt.cost < cand.cost:
@@ -307,7 +306,7 @@ class TestDrcc:
     def test_unbiased_sum_cost_estimate_over_protocol_randomness(self):
         # ladders are fixed; allocation + sampling redrawn each run
         shards, full = make_shards(6, n_points=120)
-        ladders = [node_local_centers(s, 3, z=1, seed=j) for j, s in enumerate(shards)]
+        ladders = [node_local_centers(s, 3, z=1) for s in shards]
         reports = [
             NodeReport(node_id=j, local_costs=l.costs) for j, l in enumerate(ladders)
         ]

@@ -204,7 +204,7 @@ class TestRunBenchmark:
         )
 
     @pytest.mark.parametrize("bad, good, sizes, error", [
-        ({"kind": "rcc_fixed"}, {"kind": "rcc", "eps": 2.0}, None, "TypeError"),
+        ({"kind": "rcc_fixed"}, {"kind": "rcc", "eps": 2.0}, None, "ValidationError"),
         ({"kind": "rcc"}, {"kind": "uniform"}, [8], "KeyError: 'eps'"),
         ({"kind": "drcc"}, {"kind": "uniform"}, [8], "KeyError: 'nodes'"),
         ({"kind": "cdcc", "nodes": 3, "K": 2, "k": 2}, {"kind": "uniform"}, [8],

@@ -243,7 +243,7 @@ class TestSolveDispatch:
         pts, w = random_instance(9, n_range=(25, 25))
         ps = as_set(pts, w)
         model = solve_problem(make_problem("kmedian", k=3), ps, seed=4)
-        run = k_clustering(ps, 3, z=1, seed=4)
+        run = k_clustering(ps, 3, z=1)
         assert np.array_equal(model.centers, run.centers)
 
     def test_too_many_centers_rejected(self):
