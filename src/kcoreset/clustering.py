@@ -349,31 +349,36 @@ def add_costliest_point(pointset: WeightedPointSet, run: ClusteringResult) -> Cl
 
 
 class _Recursion:
-    """The k/2 -> k recursion on one weighted point set, for one call.
+    """The k/2 -> k recursion on one weighted point set: the one place a run is made.
 
     The engine draws no randomness: every run, and the 2-center split of its
     clusters, is fixed by (points, weights, z).  Each is computed once here
-    and shared by every k solved through this object.  An odd k takes the
-    2*(k//2) split centers plus the costliest point against them,
-    argmax w_p * min_q ||p - q||^z, the first one on ties.
+    and shared by every k solved through this object, so one recursion
+    serves a k-center run, its 2k-center continuation and a whole search
+    over k.  An odd k takes the 2*(k//2) split centers plus the costliest
+    point against them, argmax w_p * min_q ||p - q||^z, the first one on
+    ties.
     """
 
     def __init__(self, pointset: WeightedPointSet, z: int):
         _validate_z(z)
         self.pointset, self.z = pointset, z
         self._runs = {}    # k -> k-center run
-        self._splits = {}  # k -> 2k-center init split from that run
+        self._splits = {}  # k -> (2k-center init, per-cluster 2-center costs) of that run
 
     def run(self, k: int) -> ClusteringResult:
+        """The k-center run, 1 <= k <= |P|; k == |P| is the points at cost 0."""
         if k in self._runs:
             return self._runs[k]
         points, weights, z = self.pointset.points, self.pointset.weights, self.z
-        if k >= points.shape[0]:
+        if not 1 <= k <= points.shape[0]:
+            raise ValidationError(f"k must be in [1, {points.shape[0]}], got {k}")
+        if k == points.shape[0]:
             run = _trivial_result(points, weights, points.copy(), z)
         elif k == 1:
             run = _single_center(points, weights, z)
         else:
-            init = self._split(k // 2)
+            init = self._split(k // 2)[0]
             if k % 2 == 1:
                 scores = weights * cdist(points, init).min(axis=1) ** z
                 init = np.vstack([init, points[np.argmax(scores)]])
@@ -381,9 +386,13 @@ class _Recursion:
         self._runs[k] = run
         return run
 
-    def _split(self, k: int) -> np.ndarray:
+    def doubled(self, k: int) -> DoubledRun:
+        """The k-center run and the min(2k, |P|)-center run seeded from its clusters."""
+        return DoubledRun(self.run(k), self.run(min(2 * k, self.pointset.size)), self._split(k)[1])
+
+    def _split(self, k: int) -> tuple:
         if k not in self._splits:
-            self._splits[k] = _split_init(self.pointset.points, self.pointset.weights, self.run(k))[0]
+            self._splits[k] = _split_init(self.pointset.points, self.pointset.weights, self.run(k))
         return self._splits[k]
 
 
@@ -442,8 +451,6 @@ def k_clustering(pointset: WeightedPointSet, k: int, z: int = 2) -> ClusteringRe
         clusters (to solver tolerance), with per-point assignment, final
         cost, and the cost trace of the run.
     """
-    if not 1 <= k <= pointset.size:
-        raise ValidationError(f"k must be in [1, {pointset.size}], got {k}")
     return _Recursion(pointset, z).run(k)
 
 
@@ -464,25 +471,15 @@ class DoubledRun:
         return self.base.cost - self.doubled.cost
 
 
-def extend_to_doubled(pointset: WeightedPointSet, base: ClusteringResult) -> DoubledRun:
-    """Continue a k-center run into the 2k-center run seeded from its clusters."""
-    points, weights = pointset.points, pointset.weights
-    init, split_costs = _split_init(points, weights, base)
-    if 2 * base.k >= pointset.size:
-        doubled = _trivial_result(points, weights, points.copy(), base.z)
-    else:
-        doubled = _lloyd(points, weights, init, base.z)
-    return DoubledRun(base=base, doubled=doubled, split_costs=split_costs)
-
-
 def k_clustering_doubled(pointset: WeightedPointSet, k: int, z: int = 2) -> DoubledRun:
     """Run k-clustering and the 2k-clustering seeded from its clusters.
 
-    Matches k_clustering(pointset, 2*k, z) exactly while also exposing the
-    intermediate k-center run and per-cluster 2-center costs needed by the
-    size search and the error certificate.
+    Both runs come from one recursion, so the 2k-center run is
+    k_clustering(pointset, min(2*k, |P|), z) exactly, and the k-center run
+    and the per-cluster 2-center costs that the size search and the error
+    certificate need are exposed with it.
     """
-    return extend_to_doubled(pointset, k_clustering(pointset, k, z=z))
+    return _Recursion(pointset, z).doubled(k)
 
 
 @dataclass

@@ -25,13 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .clustering import (
-    ClusteringResult,
-    DoubledRun,
-    extend_to_doubled,
-    k_clustering,
-    k_clustering_doubled,
-)
+from .clustering import ClusteringResult, DoubledRun, _Recursion
 from .data import WeightedPointSet, load_points_and_weights, save_pointset
 from .errors import ThresholdNotReachedError, ValidationError
 
@@ -156,25 +150,17 @@ def _max_center_dist(pointset: WeightedPointSet, result: ClusteringResult) -> fl
     return float(np.linalg.norm(gaps, axis=1).max())
 
 
-def certify_eps(
-    pointset: WeightedPointSet,
-    result: ClusteringResult | DoubledRun,
-    rho: float = 1.0,
-) -> EpsCertificate:
-    """Certify the coreset error of a clustering run's centers.
+def certify_eps(pointset: WeightedPointSet, run: DoubledRun, rho: float = 1.0) -> EpsCertificate:
+    """Certify the coreset error of the centers of ``run.base``.
 
-    Accepts either a finished run (the 2k-center continuation is computed
-    here) or a DoubledRun that already carries it.
+    ``run`` carries the k-center run and its 2k-center continuation, as
+    ``k_clustering_doubled`` returns them; no clustering is run here.
 
     Both bounds scale linearly in rho, so a certificate computed at rho=1
     can be rescaled to any cost function's Lipschitz constant.
     """
     if rho <= 0 or not math.isfinite(rho):
         raise ValidationError("rho must be positive and finite")
-    if isinstance(result, DoubledRun):
-        run = result
-    else:
-        run = extend_to_doubled(pointset, result)
     base = run.base
     gap = max(run.gap, 0.0)
     w_min = pointset.w_min
@@ -221,18 +207,18 @@ def rcc_fixed_size(
     """Robust coreset of exactly k cluster centers.
 
     The construction draws no randomness, so ``seed`` is ignored; the
-    keyword stays only so that existing callers keep working.  When
-    ``certify`` is set, the 2k-center continuation is run to compute the
-    error certificate, and the coreset's eps_bound is the realized
-    max-distance bound (the tighter of the two certified values); without
-    it only the k-center run is computed.
+    keyword stays only so that existing callers keep working.  One
+    recursion makes the k-center run and, when ``certify`` is set, its
+    2k-center continuation for the error certificate; the coreset's
+    eps_bound is then the realized max-distance bound (the tighter of the
+    two certified values).  Without it only the k-center run is computed.
     """
-    run = k_clustering(pointset, k, z=z)
+    recursion = _Recursion(pointset, z)
     coreset = coreset_from_run(
-        pointset, run, provenance={"algorithm": "rcc_fixed", "rho": rho}
+        pointset, recursion.run(k), provenance={"algorithm": "rcc_fixed", "rho": rho}
     )
     if certify:
-        cert = certify_eps(pointset, run, rho=rho)
+        cert = certify_eps(pointset, recursion.doubled(k), rho=rho)
         coreset.certificate = cert
         coreset.eps_bound = cert.eps_maxdist
     return coreset
@@ -251,8 +237,9 @@ def rcc(
     w_min * (eps/rho)^z, which certifies that every rho-Lipschitz cost
     function (with per-point cost >= 1) sees at most a (1 +/- eps) relative
     error.  The search doubles k and then binary-refines to the smallest
-    passing size on that lattice.  It draws no randomness: the result is
-    fixed by the data, eps, rho, z and k_max.
+    passing size on that lattice.  All its sizes come from one recursion,
+    so every run that two sizes share is solved once.  It draws no
+    randomness: the result is fixed by the data, eps, rho, z and k_max.
 
     Raises ThresholdNotReachedError when no k up to k_max passes; the error
     carries the best gap seen.
@@ -266,15 +253,16 @@ def rcc(
     k_max = min(k_max, pointset.size)
     threshold = pointset.w_min * (eps / rho) ** z
 
-    runs: dict[int, DoubledRun] = {}
+    recursion = _Recursion(pointset, z)
+    tried = []  # in the order first tried, so a tie in min() goes to the earliest
 
     def gap_at(k: int) -> float:
-        if k not in runs:
-            runs[k] = k_clustering_doubled(pointset, k, z=z)
-        return max(runs[k].gap, 0.0)
+        if k not in tried:
+            tried.append(k)
+        return max(recursion.doubled(k).gap, 0.0)
 
     # double until the gap certificate passes, then binary-refine downwards;
-    # every size tried is a key of runs (a k_max <= 0 fails in gap_at)
+    # every size tried is in ``tried`` (a k_max <= 0 fails in gap_at)
     lo, passing = 0, None
     k = 1
     while k <= k_max:
@@ -283,11 +271,11 @@ def rcc(
             break
         lo = k
         k *= 2
-    if passing is None and k_max not in runs:
+    if passing is None and k_max not in tried:
         if gap_at(k_max) <= threshold:
             passing = k_max
     if passing is None:
-        best_k = min(runs, key=gap_at)
+        best_k = min(tried, key=gap_at)
         raise ThresholdNotReachedError(
             f"no size up to {k_max} meets the eps={eps} target "
             f"(best gap {gap_at(best_k):.6g} at k={best_k}, need <= {threshold:.6g})",
@@ -301,14 +289,14 @@ def rcc(
         else:
             lo = mid
 
-    chosen = runs[passing]
+    chosen = recursion.doubled(passing)
     coreset = coreset_from_run(
         pointset, chosen.base,
         provenance={
             "algorithm": "rcc",
             "eps": eps,
             "rho": rho,
-            "sizes_tried": sorted(runs),
+            "sizes_tried": sorted(tried),
         },
     )
     coreset.certificate = certify_eps(pointset, chosen, rho=rho)

@@ -237,12 +237,7 @@ def solve_problem(problem: MLProblem, pointset: WeightedPointSet, seed: int = 0)
     if problem.name == "meb":
         return meb_solve(pointset)
     if problem.name in CLUSTER_Z:
-        k = problem.params["k"]
-        if k > pointset.size:
-            raise ValidationError(
-                f"cannot fit {k} centers on {pointset.size} points"
-            )
-        run = k_clustering(pointset, k, z=CLUSTER_Z[problem.name])
+        run = k_clustering(pointset, problem.params["k"], z=CLUSTER_Z[problem.name])
         return CentersModel(centers=run.centers)
     if problem.name == "pca":
         return pca_solve(pointset, problem.params["l"], seed=seed)

@@ -116,7 +116,7 @@ def test_02_two_sided_guarantee_for_random_models():
         rng = np.random.default_rng(20)
         for i in range(20):
             ps = random_weighted_set(rng, 200, 3, w_lo=0.5, w_hi=2.5)
-            coreset = rcc_fixed_size(ps, 20, z=2, seed=i, rho=1.0)
+            coreset = rcc_fixed_size(ps, 20, z=2, rho=1.0)
             eps = coreset.certificate.eps_maxdist
             w, u = ps.weights, coreset.weights
             total = w.sum()
@@ -437,11 +437,11 @@ def test_09_lipschitz_bounds_never_violated():
 
 
 def test_10_quality_ordering_on_uniform_cube():
-    """4000 raw points in [1, 50]^3, size-8 coresets, 100 seeded runs.
+    """4000 raw points in [1, 50]^3, size-8 coresets, 100 seeded baseline runs.
 
-    Clustering-center coresets must beat uniform sampling on the mean
-    normalized enclosing-ball cost and beat farthest-point selection on
-    the mean normalized 2-means cost.  Budget 5 minutes.
+    The seed-free clustering-center coreset must beat uniform sampling on
+    the mean normalized enclosing-ball cost and beat farthest-point
+    selection on the mean normalized 2-means cost.  Budget 5 minutes.
     """
     with criterion(10, "quality ordering vs baselines"):
         started = time.perf_counter()
@@ -455,27 +455,20 @@ def test_10_quality_ordering_on_uniform_cube():
             model = solve_problem(problem, ps, seed=0)
             full[name] = problem_cost(problem, ps, model)
 
-        sums = {("rcc", "meb"): 0.0, ("rcc", "kmeans"): 0.0,
-                ("uniform", "meb"): 0.0, ("farthest", "kmeans"): 0.0}
-        for run in range(100):
-            coresets = {
-                "rcc": rcc_fixed_size(ps, 8, z=2, seed=run, certify=False),
-                "uniform": uniform_sample(ps, 8, seed=run),
-                "farthest": farthest_point(ps, 8, seed=run),
-            }
-            for algo, problem_name in (
-                ("rcc", "meb"), ("rcc", "kmeans"),
-                ("uniform", "meb"), ("farthest", "kmeans"),
-            ):
-                problem = problems[problem_name]
-                trained = solve_problem(
-                    problem, coresets[algo].to_pointset(), seed=run
-                )
-                sums[(algo, problem_name)] += (
-                    problem_cost(problem, ps, trained) / full[problem_name]
-                )
+        def score(coreset, problem_name, run):
+            problem = problems[problem_name]
+            trained = solve_problem(problem, coreset.to_pointset(), seed=run)
+            return problem_cost(problem, ps, trained) / full[problem_name]
 
-        mean = {key: value / 100.0 for key, value in sums.items()}
+        # the clustering coreset draws no randomness, so it is built and
+        # scored once; the baselines are averaged over 100 seeded runs
+        coreset = rcc_fixed_size(ps, 8, z=2, certify=False)
+        mean = {("rcc", name): score(coreset, name, 0) for name in problems}
+        sums = {("uniform", "meb"): 0.0, ("farthest", "kmeans"): 0.0}
+        for run in range(100):
+            sums[("uniform", "meb")] += score(uniform_sample(ps, 8, seed=run), "meb", run)
+            sums[("farthest", "kmeans")] += score(farthest_point(ps, 8, seed=run), "kmeans", run)
+        mean.update({key: value / 100.0 for key, value in sums.items()})
         assert mean[("rcc", "meb")] <= mean[("uniform", "meb")], mean
         assert mean[("rcc", "kmeans")] <= mean[("farthest", "kmeans")], mean
         elapsed = time.perf_counter() - started

@@ -1,5 +1,7 @@
 """Tests for coreset construction, error certification, and persistence."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -15,9 +17,13 @@ from kcoreset import (
     k_clustering,
     k_clustering_doubled,
     load_coreset,
+    normalize_features,
     rcc,
     rcc_fixed_size,
+    synthetic_blobs,
 )
+from kcoreset import clustering
+from kcoreset.clustering import _lloyd as lloyd
 from oracles import random_instance
 
 
@@ -61,13 +67,6 @@ class TestCertify:
         five = certify_eps(ps, run, rho=5.0)
         assert five.eps_gap == pytest.approx(5.0 * one.eps_gap)
         assert five.eps_maxdist == pytest.approx(5.0 * one.eps_maxdist)
-
-    def test_accepts_plain_run_and_extends_it(self):
-        ps = spread_set(3)
-        base = k_clustering(ps, 3, z=2)
-        cert = certify_eps(ps, base)
-        run = k_clustering_doubled(ps, 3, z=2)
-        assert cert.gap == pytest.approx(max(run.gap, 0.0))
 
     @pytest.mark.parametrize("z", [1, 2])
     @pytest.mark.parametrize("seed", range(8))
@@ -124,7 +123,7 @@ class TestCoresetFromRun:
 class TestFixedSize:
     def test_returns_exactly_k_points_on_spread_data(self):
         ps = spread_set(6)
-        coreset = rcc_fixed_size(ps, 10, z=2, seed=0)
+        coreset = rcc_fixed_size(ps, 10, z=2)
         assert coreset.size == 10
         assert coreset.total_weight == pytest.approx(ps.total_weight)
         assert coreset.eps_bound == pytest.approx(coreset.certificate.eps_maxdist)
@@ -137,21 +136,20 @@ class TestFixedSize:
 
     def test_certify_false_runs_no_doubled_clustering(self, monkeypatch):
         ps = spread_set(7)
-        certified = rcc_fixed_size(ps, 5, z=1, seed=3)
+        certified = rcc_fixed_size(ps, 5, z=1)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the 2k-center run is not needed without a certificate")
 
-        monkeypatch.setattr("kcoreset.clustering.extend_to_doubled", refuse)
-        monkeypatch.setattr("kcoreset.coreset.extend_to_doubled", refuse)
-        plain = rcc_fixed_size(ps, 5, z=1, seed=3, certify=False)
+        monkeypatch.setattr("kcoreset.clustering._Recursion.doubled", refuse)
+        plain = rcc_fixed_size(ps, 5, z=1, certify=False)
         assert np.array_equal(plain.points, certified.points)
         assert np.array_equal(plain.weights, certified.weights)
 
     def test_rho_scales_bound(self):
         ps = spread_set(8)
-        a = rcc_fixed_size(ps, 6, seed=1, rho=1.0)
-        b = rcc_fixed_size(ps, 6, seed=1, rho=3.0)
+        a = rcc_fixed_size(ps, 6, rho=1.0)
+        b = rcc_fixed_size(ps, 6, rho=3.0)
         assert b.eps_bound == pytest.approx(3.0 * a.eps_bound)
         assert np.array_equal(a.points, b.points)
 
@@ -207,6 +205,30 @@ class TestAdaptive:
         coreset = rcc(ps, eps=eps, z=1)
         assert coreset.certificate.gap <= ps.w_min * eps + 1e-12
 
+    def test_solves_each_center_count_once(self, monkeypatch):
+        # one recursion serves the whole search: no k-center run is solved twice
+        solved = Counter()
+
+        def counting_lloyd(points, weights, init_centers, z):
+            solved[len(init_centers)] += 1
+            return lloyd(points, weights, init_centers, z)
+
+        monkeypatch.setattr(clustering, "_lloyd", counting_lloyd)
+        ps = normalize_features(synthetic_blobs(600, 4, 3, seed=1))
+        with pytest.raises(ThresholdNotReachedError):
+            rcc(ps, eps=0.5, z=2)
+        assert len(solved) > 1
+        assert max(solved.values()) == 1, solved
+
+    @pytest.mark.parametrize("z, eps", [(2, 0.3), (1, 0.5)])
+    def test_equals_fixed_size_at_the_chosen_k(self, z, eps):
+        ps = clustered_set(17, spread=0.001)
+        adaptive = rcc(ps, eps=eps, z=z, rho=2.0)
+        fixed = rcc_fixed_size(ps, adaptive.certificate.k, z=z, rho=2.0)
+        assert np.array_equal(adaptive.points, fixed.points)
+        assert np.array_equal(adaptive.weights, fixed.weights)
+        assert adaptive.certificate == fixed.certificate
+
     def test_invalid_inputs(self):
         ps = spread_set(16, n=10)
         with pytest.raises(ValidationError):
@@ -227,7 +249,7 @@ class TestGuaranteeOnModels:
     def test_sum_and_max_costs_stay_in_band(self, z):
         rng = np.random.default_rng(17)
         ps = spread_set(17, n=70)
-        coreset = rcc_fixed_size(ps, 12, z=z, seed=0)
+        coreset = rcc_fixed_size(ps, 12, z=z)
         eps = coreset.certificate.eps_maxdist
         for _ in range(30):
             centers = rng.uniform(0.0, 1.0, size=(3, ps.dim))
@@ -248,7 +270,7 @@ class TestGuaranteeOnModels:
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
         ps = spread_set(18)
-        coreset = rcc_fixed_size(ps, 7, z=1, seed=5, rho=2.0)
+        coreset = rcc_fixed_size(ps, 7, z=1, rho=2.0)
         prefix = str(tmp_path / "core")
         coreset.save(prefix)
         back = load_coreset(prefix)

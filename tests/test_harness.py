@@ -70,7 +70,7 @@ class TestEvaluateCoreset:
 
     def test_real_coreset_reports_its_bound(self):
         ps = synthetic_uniform(60, 3, 0.0, 1.0, seed=3)
-        coreset = rcc_fixed_size(ps, 10, seed=1)
+        coreset = rcc_fixed_size(ps, 10)
         out = evaluate_coreset(ps, coreset, make_problem("meb"), seed=0)
         assert out["eps_bound"] == coreset.eps_bound
         assert out["value"] >= 1.0 - 1e-9
@@ -87,7 +87,7 @@ class TestEvaluateCoreset:
 
     def test_precomputed_full_solution_short_circuits(self):
         ps = synthetic_uniform(30, 2, 0.0, 1.0, seed=5)
-        coreset = rcc_fixed_size(ps, 6, seed=0)
+        coreset = rcc_fixed_size(ps, 6)
         problem = make_problem("kmedian", k=2)
         from kcoreset import problem_cost, solve_problem
 
@@ -104,7 +104,7 @@ class TestEvaluateCoreset:
         train, test = split_train_test(
             with_svm_labels(synthetic_blobs(80, 4, 3, seed=2), "class0")
         )
-        coreset = rcc_fixed_size(train, 10, seed=0)
+        coreset = rcc_fixed_size(train, 10)
         problem = make_problem("svm", positive_label="class0")
         model = solve_problem(problem, coreset.to_pointset(), seed=0)
         held = evaluate_coreset(train, coreset, problem, seed=0, held_out=test)
