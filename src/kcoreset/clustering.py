@@ -10,11 +10,17 @@ gives every problem's cost, new assignment and restart of empty centers,
 and the rows sorted by (problem, cluster) make every cluster one
 contiguous segment, so all clusters of all problems are recentered at
 once: z=2 by segmented weighted sums, z=1 by one Weiszfeld solver that
-advances every segment's iterate together.  A problem stops on its own,
-and its rows drop out.  A single problem is the plain k-center run.  The
-Weiszfeld solver is also the only 1-median code:
-``weighted_geometric_median`` is its one-segment call, and
-``brute_force_optimal`` solves all subsets in one call.
+advances every segment's iterate together.  While a z=1 problem's
+assignment still moves, its pass is capped: at most WEISZFELD_CAPPED_STEPS
+Weiszfeld steps per cluster from the previous center, which never raise
+the cost.  The pass after an unchanged assignment, and pass
+LLOYD_MAX_ITER, are exact: they solve every median to tolerance.  A
+problem has converged when an exact pass leaves its assignment unchanged.
+A problem stops on its own, and its rows drop out.  A single problem is
+the plain k-center run.  The Weiszfeld solver is also the only 1-median
+code: ``weighted_geometric_median`` is its one-segment call, and
+``brute_force_optimal`` solves all subsets in one call; both solve to
+tolerance.
 
 Initialization is recursive and draws no randomness: a 2m-center run
 starts from the union of per-cluster 2-center solutions of an m-center run,
@@ -46,6 +52,8 @@ from .errors import ValidationError
 LLOYD_MAX_ITER = 300
 DEFAULT_MEDIAN_TOL = 1e-8
 WEISZFELD_MAX_ITER = 5000
+# Weiszfeld steps per cluster in a Lloyd pass whose assignment is still moving
+WEISZFELD_CAPPED_STEPS = 3
 BRUTE_FORCE_MEDIAN_TOL = 1e-11
 
 
@@ -87,18 +95,20 @@ def weighted_geometric_median(points: np.ndarray, weights: np.ndarray) -> np.nda
     return _segment_centers(points, weights, np.zeros(1, dtype=np.intp), 1)[0]
 
 
-def _segment_centers(points, weights, starts, z, tol=DEFAULT_MEDIAN_TOL, init=None):
+def _segment_centers(points, weights, starts, z, tol=DEFAULT_MEDIAN_TOL, init=None,
+                     max_steps=WEISZFELD_MAX_ITER):
     """1-centers of the contiguous row segments that begin at ``starts``.
 
     Segment s is rows starts[s] up to starts[s+1] (the last one runs to the
     end); every segment must be non-empty.  z=2 gives the weighted means;
-    z=1 gives Weiszfeld medians started from ``init`` or the means.
+    z=1 gives Weiszfeld medians started from ``init`` or the means, after
+    at most ``max_steps`` steps (one count, or one per segment).
     """
     if z == 2:
         return _segment_means(points, weights, starts)
     if init is None:
         init = _segment_means(points, weights, starts)
-    return _weiszfeld(points, weights, starts, init, tol)
+    return _weiszfeld(points, weights, starts, init, tol, max_steps)
 
 
 def _segment_means(points, weights, starts):
@@ -106,12 +116,13 @@ def _segment_means(points, weights, starts):
     return sums / np.add.reduceat(weights, starts)[:, None]
 
 
-def _weiszfeld(points, weights, starts, init, tol):
+def _weiszfeld(points, weights, starts, init, tol, max_steps):
     """Weiszfeld iteration on every segment at once; see weighted_geometric_median.
 
-    Each segment stops on its own tests and after at most
-    WEISZFELD_MAX_ITER steps.  A finished segment's rows are dropped, so
-    the segments still iterating do not pay for it.
+    Each segment stops on its own tests, or returns its iterate right after
+    its ``max_steps``-th update.  No step raises a segment's cost, so a
+    capped segment is no worse than its ``init``.  A finished segment's
+    rows are dropped, so the segments still iterating do not pay for it.
     """
     sizes = np.diff(np.append(starts, points.shape[0]))
     near_dist = 1e-14 * (1.0 + np.maximum.reduceat(np.abs(points).max(axis=1), starts))
@@ -120,15 +131,16 @@ def _weiszfeld(points, weights, starts, init, tol):
     single = sizes == 1
     out[single] = points[starts[single]]
     live = np.flatnonzero(~single)  # row of ``out`` of each segment still iterating
+    limit = np.broadcast_to(max_steps, sizes.shape)[live]
     rows = np.repeat(~single, sizes)
     # coordinates along rows, so each pass runs over long contiguous arrays
     pts, weights = points[rows].T.copy(), weights[rows]
     near_dist = np.repeat(near_dist, sizes)[rows]
     sizes, y = sizes[live], out[live].T
     starts = np.cumsum(sizes) - sizes
-    for _ in range(WEISZFELD_MAX_ITER):
+    for step in range(1, WEISZFELD_MAX_ITER + 1):
         if not live.size:
-            return out
+            break
         diff = np.repeat(y, sizes, axis=1)
         np.subtract(pts, diff, out=diff)
         dist = np.sqrt(np.einsum("ij,ij->j", diff, diff))
@@ -157,15 +169,16 @@ def _weiszfeld(points, weights, starts, init, tol):
             pull_vec[:, moving] *= 1.0 - np.minimum(1.0, w_here[~pinned] / pull[moving])
         y_new = y + pull_vec / inv_sum
         stop |= (y_new == y).all(axis=0)
-        if stop.any():
+        capped = ~stop & (limit == step)
+        if stop.any() or capped.any():
             out[live[stop]] = y[:, stop].T
-            keep = ~stop
+            out[live[capped]] = y_new[:, capped].T
+            keep = ~(stop | capped)
             rows = np.repeat(keep, sizes)
             pts, weights, near_dist = pts[:, rows], weights[rows], near_dist[rows]
-            sizes, live, y_new = sizes[keep], live[keep], y_new[:, keep]
+            sizes, live, limit, y_new = sizes[keep], live[keep], limit[keep], y_new[:, keep]
             starts = np.cumsum(sizes) - sizes
         y = y_new
-    out[live] = y.T
     return out
 
 
@@ -267,19 +280,29 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
     ``init_centers[p]``.  A pass recenters every (problem, center) cluster
     in one _segment_centers call, restarts each problem's empty centers at
     that problem's own costliest row, and assigns each row to the nearest
-    center of its own problem.  Each problem stops when its assignment no
-    longer changes or after LLOYD_MAX_ITER passes; a finished problem's
-    rows are dropped.
+    center of its own problem.
+
+    For z=1 a pass is capped or exact.  A capped pass takes at most
+    WEISZFELD_CAPPED_STEPS Weiszfeld steps per cluster, since the next
+    pass moves points again anyway.  A pass is exact, solving each median
+    to tolerance, when the previous pass left its problem's assignment
+    unchanged, and at pass LLOYD_MAX_ITER.  Every z=2 pass is exact.  No
+    pass raises a problem's cost.  A problem has converged when an exact
+    pass leaves its assignment unchanged.  It stops then or after
+    LLOYD_MAX_ITER passes, so its last pass is always exact; a finished
+    problem's rows are dropped.
     """
     centers = np.array(init_centers, dtype=float)
     n_problems, c, dim = centers.shape
     sizes = np.diff(np.append(starts, points.shape[0]))
     live = np.arange(n_problems)  # the input problem of each entry of ``centers``
+    unchanged = np.zeros(n_problems, dtype=bool)  # the last pass kept the assignment
     costs, assign = _cost_and_assignment(points, weights, centers, sizes, z)
     histories = [[cost] for cost in costs]
     results = [None] * n_problems
     starts, offset = np.cumsum(sizes) - sizes, np.repeat(live * c, sizes)
     for iterations in range(1, LLOYD_MAX_ITER + 1):
+        exact = unchanged | (z == 2) | (iterations == LLOYD_MAX_ITER)
         # recenter every cluster at once: rows sorted by (problem, center)
         # make each one segment
         key = assign + offset
@@ -287,16 +310,18 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
         counts = np.bincount(key, minlength=live.size * c)
         filled = counts > 0
         flat = centers.reshape(-1, dim)
+        steps = np.where(exact, WEISZFELD_MAX_ITER, WEISZFELD_CAPPED_STEPS)
         flat[filled] = _segment_centers(
             points[order], weights[order], (np.cumsum(counts) - counts)[filled], z,
-            init=flat[filled],
+            init=flat[filled], max_steps=np.repeat(steps, c)[filled],
         )
         costs, new_assign = _cost_and_assignment(
             points, weights, centers, sizes, z, filled.reshape(-1, c)
         )
         for p, cost in zip(live, costs):
             histories[p].append(cost)
-        converged = ~np.logical_or.reduceat(new_assign != assign, starts)
+        unchanged = ~np.logical_or.reduceat(new_assign != assign, starts)
+        converged = unchanged & exact
         assign = new_assign
         done = converged | (iterations == LLOYD_MAX_ITER)
         if not done.any():
@@ -313,7 +338,7 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
         keep = ~done
         rows = np.repeat(keep, sizes)
         points, weights, assign = points[rows], weights[rows], assign[rows]
-        centers, sizes, live = centers[keep], sizes[keep], live[keep]
+        centers, sizes, live, unchanged = centers[keep], sizes[keep], live[keep], unchanged[keep]
         starts, offset = np.cumsum(sizes) - sizes, np.repeat(np.arange(live.size) * c, sizes)
     return results
 

@@ -384,6 +384,67 @@ class TestLloydProblems:
             assert np.array_equal(run.assignment, alone.assignment)
             assert run.cost_history == alone.cost_history
 
+    def test_capped_weiszfeld_returns_its_last_update(self):
+        # segment 0 takes one plain Weiszfeld step, segment 1 three, from
+        # the weighted means; no iterate lands on a data point
+        rng = np.random.default_rng(3)
+        points, weights = rng.uniform(size=(50, 3)), rng.uniform(0.5, 2.0, 50)
+        starts = np.array([0, 20])
+        got = clustering._segment_centers(points, weights, starts, 1, max_steps=np.array([1, 3]))
+        for s, (rows, steps) in enumerate(((slice(0, 20), 1), (slice(20, 50), 3))):
+            pts, w = points[rows], weights[rows]
+            y = w @ pts / w.sum()
+            for _ in range(steps):
+                inv = w / np.linalg.norm(pts - y, axis=1)
+                y = inv @ pts / inv.sum()
+            np.testing.assert_allclose(got[s], y, rtol=1e-12)
+
+    @staticmethod
+    def assert_one_medians(points, weights, clusters, centers):
+        for i, center in enumerate(centers):
+            members = clusters == i
+            _, best = one_median(as_set(points[members], weights[members]), tol=1e-10)
+            cost = weights[members] @ np.linalg.norm(points[members] - center, axis=1)
+            assert cost == pytest.approx(best, rel=1e-9)
+
+    @staticmethod
+    def uniform_run_input(seed):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(size=(600, 5))
+        return points, rng.uniform(0.5, 2.0, 600), points[rng.choice(600, 8, replace=False)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_last_pass_before_the_cap_solves_to_tolerance(self, monkeypatch, seed):
+        # a run stopped by the pass cap while its assignment still moves
+        # returns 1-medians of the clusters of its last pass, solved to tolerance
+        monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", 1)
+        points, weights, init = self.uniform_run_input(seed)
+        run = clustering._lloyd(points, weights, init, 1)
+        self.assert_one_medians(points, weights, assign_to_centers(points, init), run.centers)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_converged_run_solves_its_clusters_to_tolerance(self, seed):
+        # a capped pass that leaves the assignment unchanged is not the end:
+        # the run converges only on an exact pass
+        points, weights, init = self.uniform_run_input(seed)
+        run = clustering._lloyd(points, weights, init, 1)
+        assert run.converged
+        self.assert_one_medians(points, weights, run.assignment, run.centers)
+
+    @pytest.mark.parametrize("kind", ["uniform", "grid"])
+    @pytest.mark.parametrize("k", [7, 16, 32])
+    def test_cost_history_never_increases_at_scale(self, kind, k):
+        # large clusters take capped passes for many rounds; duplicate-heavy
+        # grid points put Weiszfeld iterates on data points
+        for seed in range(4):
+            rng = np.random.default_rng([seed, k])
+            if kind == "uniform":
+                ps = as_set(rng.uniform(size=(2000, 5)))
+            else:
+                ps = as_set(rng.integers(0, 4, size=(400, 3)), rng.integers(1, 6, 400))
+            history = np.array(k_clustering(ps, k, z=1).cost_history)
+            assert np.all(np.diff(history) <= 1e-12 * history[:-1])
+
 
 class TestBruteForce:
     def test_frozen_oracle_values(self):

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kcoreset import (
     synthetic_blobs,
     synthetic_uniform,
 )
+from kcoreset import harness
 from kcoreset.harness import construct_coreset
 
 
@@ -196,6 +198,38 @@ class TestRunBenchmark:
             with open(os.path.join(b, name)) as fh:
                 second = fh.read()
             assert first == second, name
+
+    def test_seed_free_coreset_built_once_for_all_runs(self, monkeypatch):
+        builds = {"rcc_fixed": Counter(), "uniform": Counter()}
+
+        def spy(kind, build):
+            def wrapped(pointset, size, **kwargs):
+                builds[kind][pointset.size, size] += 1
+                return build(pointset, size, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(harness, "rcc_fixed_size", spy("rcc_fixed", rcc_fixed_size))
+        monkeypatch.setattr(harness, "uniform_sample", spy("uniform", harness.uniform_sample))
+        config = tiny_config(
+            runs=3, sizes=[8, 12],
+            problems=[{"name": "meb"}, {"name": "kmedian", "k": 2},
+                      {"name": "svm", "positive_label": "class0"}],
+        )
+        config["datasets"].append(
+            {"name": "small", "synthetic": {"kind": "blobs", "n": 60, "features": 4,
+                                            "labels": 3, "seed": 2}})
+        records, _ = run_benchmark(config)
+        assert all(r.error is None for r in records)
+        # the whole dataset (80 or 60 points) and the svm train part (64 or 48)
+        cells = [(n, size) for n in (80, 64, 60, 48) for size in (8, 12)]
+        assert builds["rcc_fixed"] == Counter({cell: 1 for cell in cells})
+        assert builds["uniform"] == Counter({cell: 3 for cell in cells})
+        for dataset in ("blob", "small"):
+            for problem in ("meb", "kmedian", "svm"):
+                runs = [r for r in records if (r.dataset, r.algorithm, r.problem, r.size)
+                        == (dataset, "rcc-kmeans", problem, "8")]
+                assert [r.run for r in runs] == [0, 1, 2]
+                assert len({(r.value, r.relative_error) for r in runs}) == 1
 
     def test_failures_isolated_per_cell(self):
         assert_failure_isolated(
