@@ -25,6 +25,8 @@ tolerance.
 Initialization is recursive and draws no randomness: a 2m-center run
 starts from the union of per-cluster 2-center solutions of an m-center run,
 and a (2m+1)-center run adds the costliest point against those 2m centers.
+One recursion can carry many point sets (the shards of a distributed run):
+each of its levels is then one solver call over all of them.
 The split scores every point once against its center in the m-center run
 (that cluster's 1-center, once the run has converged), sorts the points by
 cluster once, and solves every cluster's 2-center run from {its center, its
@@ -374,75 +376,115 @@ def add_costliest_point(pointset: WeightedPointSet, run: ClusteringResult) -> Cl
 
 
 class _Recursion:
-    """The k/2 -> k recursion on one weighted point set: the one place a run is made.
+    """The k/2 -> k recursion on weighted point sets: the one place a run is made.
+
+    The sets share one dimension and are solved together, level by level:
+    the 1-center runs of all sets are one _segment_centers call, a split
+    level is one _lloyd_problems call over the clusters of all sets, and a
+    k-center rung is one _lloyd_problems call with one problem per set.
+    Every set's runs are bit for bit those of a recursion on that set
+    alone.  A single set is the plain case: its runs are element 0.
 
     The engine draws no randomness: every run, and the 2-center split of its
     clusters, is fixed by (points, weights, z).  Each is computed once here
     and shared by every k solved through this object, so one recursion
-    serves a k-center run, its 2k-center continuation and a whole search
-    over k.  An odd k takes the 2*(k//2) split centers plus the costliest
-    point against them, argmax w_p * min_q ||p - q||^z, the first one on
-    ties.
+    serves a k-center run, its 2k-center continuation, a whole search over
+    k and a ladder of runs.  An odd k takes the 2*(k//2) split centers plus
+    the costliest point against them, argmax w_p * min_q ||p - q||^z, the
+    first one on ties.
     """
 
-    def __init__(self, pointset: WeightedPointSet, z: int):
+    def __init__(self, pointsets: list, z: int):
         _validate_z(z)
-        self.pointset, self.z = pointset, z
-        self._runs = {}    # k -> k-center run
-        self._splits = {}  # k -> (2k-center init, per-cluster 2-center costs) of that run
+        self.pointsets, self.z = list(pointsets), z
+        self._runs = {}    # k -> every set's min(k, |P|)-center run
+        # k -> every set's split of its k-center run: (2k-center init, per-cluster 2-center costs)
+        self._splits = {}
 
-    def run(self, k: int) -> ClusteringResult:
-        """The k-center run, 1 <= k <= |P|; k == |P| is the points at cost 0."""
+    def run(self, k: int) -> list:
+        """Every set's min(k, |P|)-center run, 1 <= k <= the largest |P|.
+
+        A set's |P|-center run is its points at cost 0.
+        """
         if k in self._runs:
             return self._runs[k]
-        points, weights, z = self.pointset.points, self.pointset.weights, self.z
-        if not 1 <= k <= points.shape[0]:
-            raise ValidationError(f"k must be in [1, {points.shape[0]}], got {k}")
-        if k == points.shape[0]:
-            run = _trivial_result(points, weights, points.copy(), z)
-        elif k == 1:
-            run = _single_center(points, weights, z)
-        else:
-            init = self._split(k // 2)[0]
-            if k % 2 == 1:
-                scores = weights * cdist(points, init).min(axis=1) ** z
-                init = np.vstack([init, points[np.argmax(scores)]])
-            run = _lloyd(points, weights, init, z)
-        self._runs[k] = run
-        return run
+        largest = max(ps.size for ps in self.pointsets)
+        if not 1 <= k <= largest:
+            raise ValidationError(f"k must be in [1, {largest}], got {k}")
+        runs = [
+            None if ps.size > k else _trivial_result(ps.points, ps.weights, ps.points.copy(), self.z)
+            for ps in self.pointsets
+        ]
+        todo = [s for s, run in enumerate(runs) if run is None]
+        if todo:
+            # the sets still to solve, one after another
+            sets = [self.pointsets[s] for s in todo]
+            sizes = np.array([ps.size for ps in sets])
+            points = np.vstack([ps.points for ps in sets])
+            weights = np.concatenate([ps.weights for ps in sets])
+            starts = np.cumsum(sizes) - sizes
+            if k == 1:
+                centers = _segment_centers(points, weights, starts, self.z)
+                solved = [
+                    _trivial_result(ps.points, ps.weights, centers[i : i + 1], self.z)
+                    for i, ps in enumerate(sets)
+                ]
+            else:
+                splits = self._split(k // 2)
+                init = [splits[s][0] for s in todo]
+                if k % 2 == 1:
+                    for i, ps in enumerate(sets):
+                        scores = ps.weights * cdist(ps.points, init[i]).min(axis=1) ** self.z
+                        init[i] = np.vstack([init[i], ps.points[np.argmax(scores)]])
+                solved = _lloyd_problems(points, weights, starts, np.stack(init), self.z)
+            for s, run in zip(todo, solved):
+                runs[s] = run
+        self._runs[k] = runs
+        return runs
 
-    def doubled(self, k: int) -> DoubledRun:
-        """The k-center run and the min(2k, |P|)-center run seeded from its clusters."""
-        return DoubledRun(self.run(k), self.run(min(2 * k, self.pointset.size)), self._split(k)[1])
+    def doubled(self, k: int) -> list:
+        """Every set's k-center run and min(2k, |P|)-center run seeded from its clusters."""
+        bases = self.run(k)
+        twice = self.run(min(2 * k, max(ps.size for ps in self.pointsets)))
+        return [
+            DoubledRun(base, doubled, split[1])
+            for base, doubled, split in zip(bases, twice, self._split(k))
+        ]
 
-    def _split(self, k: int) -> tuple:
+    def _split(self, k: int) -> list:
         if k not in self._splits:
-            self._splits[k] = _split_init(self.pointset.points, self.pointset.weights, self.run(k))
+            self._splits[k] = _split_init(self.pointsets, self.run(k))
         return self._splits[k]
 
 
-def _split_init(points, weights, base: ClusteringResult):
-    """2-center solutions of every cluster of ``base``; returns (centers, costs).
+def _split_init(pointsets, bases) -> list:
+    """2-center solutions of every cluster of each run; one (centers, costs) pair per run.
 
-    Each cluster's 2-center run is seeded with {its center in ``base``, its
-    most expensive point}: add_costliest_point on the cluster's 1-center
-    run, whose center is the one in ``base`` (a converged run's center
-    already is its cluster's 1-center, so it is not solved again).  Sorted
-    by cluster, stably, each cluster is one segment in index order, and all
-    the runs are one _lloyd_problems call; an empty or zero-cost cluster
-    keeps its center twice at cost 0.
+    ``bases[i]`` is a run on ``pointsets[i]``.  Each cluster's 2-center run
+    is seeded with {its center in the base run, its most expensive point}:
+    add_costliest_point on the cluster's 1-center run, whose center is the
+    one in the base run (a converged run's center already is its cluster's
+    1-center, so it is not solved again).  The sets' rows are stacked and
+    sorted by cluster, stably, so each cluster of each set is one segment in
+    index order, and the runs of all of them are one _lloyd_problems call;
+    an empty or zero-cost cluster keeps its center twice at cost 0.
     """
-    z = base.z
-    order = np.argsort(base.assignment, kind="stable")
-    points, weights = points[order], weights[order]
-    gaps = points - base.centers[base.assignment[order]]
+    ks = np.array([base.k for base in bases])
+    offsets = np.cumsum(ks) - ks  # each run's first cluster among all runs' clusters
+    n_clusters, z = int(ks.sum()), bases[0].z
+    assignment = np.concatenate([base.assignment + off for base, off in zip(bases, offsets)])
+    centers = np.vstack([base.centers for base in bases])
+    order = np.argsort(assignment, kind="stable")
+    points = np.vstack([ps.points for ps in pointsets])[order]
+    weights = np.concatenate([ps.weights for ps in pointsets])[order]
+    gaps = points - centers[assignment[order]]
     scores = weights * np.linalg.norm(gaps, axis=1) ** z
-    counts = np.bincount(base.assignment, minlength=base.k)
-    init, split_costs = np.repeat(base.centers, 2, axis=0), np.zeros(base.k)
+    counts = np.bincount(assignment, minlength=n_clusters)
+    init, split_costs = np.repeat(centers, 2, axis=0), np.zeros(n_clusters)
     # each cluster's costliest point, the first one on ties
     filled = counts > 0
     starts = (np.cumsum(counts) - counts)[filled]
-    top = np.zeros(base.k)
+    top = np.zeros(n_clusters)
     top[filled] = np.maximum.reduceat(scores, starts)
     split = top > 0
     n = scores.size
@@ -451,11 +493,11 @@ def _split_init(points, weights, base: ClusteringResult):
     if split.any():
         rows = np.repeat(split, counts)
         sizes = counts[split]
-        seeds = np.stack([base.centers[split], points[costliest]], axis=1)
+        seeds = np.stack([centers[split], points[costliest]], axis=1)
         runs = _lloyd_problems(points[rows], weights[rows], np.cumsum(sizes) - sizes, seeds, z)
-        init.reshape(base.k, 2, -1)[split] = [run.centers for run in runs]
+        init.reshape(n_clusters, 2, -1)[split] = [run.centers for run in runs]
         split_costs[split] = [run.cost for run in runs]
-    return init, split_costs
+    return list(zip(np.split(init, 2 * offsets[1:]), np.split(split_costs, offsets[1:])))
 
 
 def k_clustering(pointset: WeightedPointSet, k: int, z: int = 2) -> ClusteringResult:
@@ -476,7 +518,7 @@ def k_clustering(pointset: WeightedPointSet, k: int, z: int = 2) -> ClusteringRe
         clusters (to solver tolerance), with per-point assignment, final
         cost, and the cost trace of the run.
     """
-    return _Recursion(pointset, z).run(k)
+    return _Recursion([pointset], z).run(k)[0]
 
 
 @dataclass
@@ -504,7 +546,7 @@ def k_clustering_doubled(pointset: WeightedPointSet, k: int, z: int = 2) -> Doub
     and the per-cluster 2-center costs that the size search and the error
     certificate need are exposed with it.
     """
-    return _Recursion(pointset, z).doubled(k)
+    return _Recursion([pointset], z).doubled(k)[0]
 
 
 @dataclass

@@ -213,12 +213,12 @@ def rcc_fixed_size(
     eps_bound is then the realized max-distance bound (the tighter of the
     two certified values).  Without it only the k-center run is computed.
     """
-    recursion = _Recursion(pointset, z)
+    recursion = _Recursion([pointset], z)
     coreset = coreset_from_run(
-        pointset, recursion.run(k), provenance={"algorithm": "rcc_fixed", "rho": rho}
+        pointset, recursion.run(k)[0], provenance={"algorithm": "rcc_fixed", "rho": rho}
     )
     if certify:
-        cert = certify_eps(pointset, recursion.doubled(k), rho=rho)
+        cert = certify_eps(pointset, recursion.doubled(k)[0], rho=rho)
         coreset.certificate = cert
         coreset.eps_bound = cert.eps_maxdist
     return coreset
@@ -253,13 +253,13 @@ def rcc(
     k_max = min(k_max, pointset.size)
     threshold = pointset.w_min * (eps / rho) ** z
 
-    recursion = _Recursion(pointset, z)
+    recursion = _Recursion([pointset], z)
     tried = []  # in the order first tried, so a tie in min() goes to the earliest
 
     def gap_at(k: int) -> float:
         if k not in tried:
             tried.append(k)
-        return max(recursion.doubled(k).gap, 0.0)
+        return max(recursion.doubled(k)[0].gap, 0.0)
 
     # double until the gap certificate passes, then binary-refine downwards;
     # every size tried is in ``tried`` (a k_max <= 0 fails in gap_at)
@@ -289,7 +289,7 @@ def rcc(
         else:
             lo = mid
 
-    chosen = recursion.doubled(passing)
+    chosen = recursion.doubled(passing)[0]
     coreset = coreset_from_run(
         pointset, chosen.base,
         provenance={

@@ -14,6 +14,13 @@ node (center count, sample count, weight normalizer), and only then do the
 coreset points themselves travel.  A ProtocolTrace records every message so
 the overhead can be audited.
 
+The nodes are simulated in one process.  Their ladders are built
+together, one engine call per ladder rung (and per split level) across all
+nodes, so the number of engine calls does not grow with the node count.
+A node's ladder is bit for bit the one it would build alone, so this
+changes no protocol message: the ProtocolTrace is the same as with one
+clustering call per node.
+
 The two protocols differ in one per-node center count: drcc lets the
 server pick up to K centers per node, and ``cdcc`` pins every node to k.
 cdcc runs the very same pipeline and greedy allocator with every node's
@@ -112,29 +119,34 @@ class ProtocolTrace:
         }
 
 
-def node_local_centers(shard: WeightedPointSet, K: int, z: int = 1) -> LocalLadder:
-    """Cluster a shard for every center count k = 1..K.
+def node_local_centers(shards: list, K: int, z: int = 1) -> list:
+    """Cluster every shard for every center count k = 1..K; one LocalLadder per shard.
 
-    K is clamped to the shard size when necessary.  The k-center candidate
-    equals ``k_clustering(shard, k, z)``; all candidates come from one
-    k/2 -> k recursion, so every run on which a larger k builds is computed
-    once per ladder.  The reported costs are non-increasing in k: whenever
-    the k-center run costs more than the (k-1)-center run,
-    :func:`add_costliest_point` grows the previous run by its most expensive
-    point and the cheaper of the two results is kept.
+    A shard's K is clamped to its size when necessary.  Its k-center
+    candidate equals ``k_clustering(shard, k, z)``; all candidates of all
+    shards come from one k/2 -> k recursion, which solves a rung for every
+    shard in one engine call, so every run on which a larger k builds is
+    computed once per shard, and no state passes between shards.  The
+    reported costs are non-increasing in k: whenever the k-center run costs
+    more than the (k-1)-center run, :func:`add_costliest_point` grows the
+    previous run by its most expensive point and the cheaper of the two
+    results is kept.
     """
     if K < 1:
         raise ValidationError("K must be >= 1")
-    recursion = _Recursion(shard, z)
-    runs = []
-    for k in range(1, min(K, shard.size) + 1):
-        cand = recursion.run(k)
-        if runs and cand.cost > runs[-1].cost:
-            alt = add_costliest_point(shard, runs[-1])
-            if alt.cost < cand.cost:
-                cand = alt
-        runs.append(cand)
-    return LocalLadder(runs=runs, clamped=K > shard.size)
+    ladders = [LocalLadder(runs=[], clamped=K > shard.size) for shard in shards]
+    recursion = _Recursion(shards, z)
+    for k in range(1, min(K, max((shard.size for shard in shards), default=0)) + 1):
+        for shard, ladder, cand in zip(shards, ladders, recursion.run(k)):
+            if k > shard.size:
+                continue  # this ladder stopped at its shard's size
+            runs = ladder.runs
+            if runs and cand.cost > runs[-1].cost:
+                alt = add_costliest_point(shard, runs[-1])
+                if alt.cost < cand.cost:
+                    cand = alt
+            runs.append(cand)
+    return ladders
 
 
 def _center_floor(N: int, ladder_lengths: list, k_fixed: int | None) -> int:
@@ -293,12 +305,11 @@ def drcc(
     ]
 
     trace = ProtocolTrace()
-    ladders, reports = [], []
-    for j, shard in enumerate(shards):
-        ladder = node_local_centers(shard, K, z=z)
+    ladders = node_local_centers(shards, K, z=z)
+    reports = []
+    for j, (shard, ladder) in enumerate(zip(shards, ladders)):
         if ladder.clamped:
             trace.notes.append(f"node {j}: ladder clamped to shard size {shard.size}")
-        ladders.append(ladder)
         reports.append(NodeReport(node_id=j, local_costs=ladder.costs))
         trace.record(f"node{j}", "server", "cost_ladder", scalars=len(ladder.costs))
 

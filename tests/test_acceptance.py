@@ -253,7 +253,7 @@ def test_04_engine_vs_exhaustive_and_partition_bounds():
 def fixed_protocol_instance(K: int):
     ps = synthetic_uniform(500, 3, 0.0, 10.0, seed=11)
     shards = partition_dataset(ps, ShardSpec(scheme="uniform", n=3, seed=5))
-    ladders = [node_local_centers(shard, K=K, z=1) for shard in shards]
+    ladders = node_local_centers(shards, K=K, z=1)
     reports = [NodeReport(j, ladder.costs) for j, ladder in enumerate(ladders)]
     model = np.random.default_rng(99).uniform(0.0, 10.0, size=(3, 3))
     point_costs = [

@@ -23,7 +23,8 @@ from kcoreset import (
     synthetic_blobs,
 )
 from kcoreset import clustering
-from kcoreset.clustering import _lloyd as lloyd
+from kcoreset.clustering import _lloyd_problems as lloyd_problems
+from kcoreset.clustering import _split_init as split_init
 from oracles import random_instance
 
 
@@ -207,13 +208,23 @@ class TestAdaptive:
 
     def test_solves_each_center_count_once(self, monkeypatch):
         # one recursion serves the whole search: no k-center run is solved twice
-        solved = Counter()
+        solved, splitting = Counter(), []
 
-        def counting_lloyd(points, weights, init_centers, z):
-            solved[len(init_centers)] += 1
-            return lloyd(points, weights, init_centers, z)
+        def counting_lloyd_problems(points, weights, starts, init_centers, z):
+            if not splitting:  # k-center runs, not the 2-center runs of a split
+                for centers in init_centers:
+                    solved[len(centers)] += 1
+            return lloyd_problems(points, weights, starts, init_centers, z)
 
-        monkeypatch.setattr(clustering, "_lloyd", counting_lloyd)
+        def marked_split_init(pointsets, bases):
+            splitting.append(True)
+            try:
+                return split_init(pointsets, bases)
+            finally:
+                splitting.pop()
+
+        monkeypatch.setattr(clustering, "_lloyd_problems", counting_lloyd_problems)
+        monkeypatch.setattr(clustering, "_split_init", marked_split_init)
         ps = normalize_features(synthetic_blobs(600, 4, 3, seed=1))
         with pytest.raises(ThresholdNotReachedError):
             rcc(ps, eps=0.5, z=2)

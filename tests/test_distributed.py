@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from kcoreset import clustering
 from kcoreset import (
     NodeReport,
     ShardSpec,
@@ -39,32 +40,32 @@ class TestLocalLadder:
     @pytest.mark.parametrize("seed", range(6))
     def test_costs_never_increase_with_k(self, z, seed):
         shard = random_set(seed)
-        ladder = node_local_centers(shard, 8, z=z)
+        ladder = node_local_centers([shard], 8, z=z)[0]
         costs = ladder.costs
         assert len(costs) == 8
         assert np.all(np.diff(costs) <= 1e-9 * (1.0 + costs[0]))
 
     def test_clamped_when_budget_exceeds_shard(self):
         shard = random_set(1, n=5)
-        ladder = node_local_centers(shard, 9)
+        ladder = node_local_centers([shard], 9)[0]
         assert ladder.clamped
         assert len(ladder.runs) == 5
         assert ladder.costs[-1] == 0.0
 
     def test_each_rung_has_matching_center_count(self):
         shard = random_set(2)
-        ladder = node_local_centers(shard, 5)
+        ladder = node_local_centers([shard], 5)[0]
         assert [run.k for run in ladder.runs] == [1, 2, 3, 4, 5]
 
     def test_deterministic(self):
         shard = random_set(3)
-        a = node_local_centers(shard, 4).costs
-        b = node_local_centers(shard, 4).costs
+        a = node_local_centers([shard], 4)[0].costs
+        b = node_local_centers([shard], 4)[0].costs
         assert np.array_equal(a, b)
 
     def test_invalid_budget(self):
         with pytest.raises(ValidationError):
-            node_local_centers(random_set(4), 0)
+            node_local_centers([random_set(4)], 0)
 
     @pytest.mark.parametrize("z", [1, 2])
     def test_rungs_match_independent_runs(self, z):
@@ -72,18 +73,47 @@ class TestLocalLadder:
         # other even runs 3, 5, 6, 7, 9
         for seed in range(3):
             shard = random_set(40 + seed)
-            assert_same_ladder(node_local_centers(shard, 9, z=z),
+            assert_same_ladder(node_local_centers([shard], 9, z=z)[0],
                                ladder_of_independent_runs(shard, 9, z))
+        # one call over shards of unequal size: a clamped one and one whose
+        # duplicates leave zero-cost clusters that keep their center twice
+        shards = mixed_shards()
+        ladders = node_local_centers(shards, 9, z=z)
+        assert [ladder.clamped for ladder in ladders] == [False, True, False, False]
+        for shard, ladder in zip(shards, ladders):
+            assert_same_ladder(ladder, ladder_of_independent_runs(shard, min(9, shard.size), z))
 
-    def test_consecutive_ladders_share_no_state(self):
-        first, second = random_set(50), random_set(51)
-        assert first.points.shape == second.points.shape
-        node_local_centers(first, 9, z=1)
-        ladder = node_local_centers(second, 9, z=1)
-        assert_same_ladder(ladder, ladder_of_independent_runs(second, 9, 1))
-        # measured on the second shard, not on the first
-        for run in ladder.runs:
-            assert run.cost == pytest.approx(clustering_cost(second, run.centers, z=1))
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_ladder_is_the_same_alone_and_in_any_batch(self, z):
+        shards = mixed_shards()
+        alone = [node_local_centers([shard], 9, z=z)[0] for shard in shards]
+        for batch in ([0, 1], [3, 2, 1, 0], [2, 2, 0], [1, 3]):
+            ladders = node_local_centers([shards[j] for j in batch], 9, z=z)
+            for j, ladder in zip(batch, ladders):
+                assert_same_ladder(ladder, alone[j].runs)
+                assert ladder.clamped == alone[j].clamped
+                # measured on its own shard, not on a neighbour in the batch
+                for run in ladder.runs:
+                    assert run.cost == pytest.approx(clustering_cost(shards[j], run.centers, z=z))
+
+    def test_no_shards_no_ladders(self):
+        assert node_local_centers([], 3) == []
+
+
+def mixed_shards():
+    """Shards of unequal size: 60 random points, 5 points, a duplicate-heavy grid, 23 points.
+
+    The grid is 40 points on 9 locations of a plane, so the 4-center run
+    has clusters at zero cost, which keep their center twice in the split.
+    """
+    grid = np.zeros((40, 3))
+    grid[:, :2] = np.random.default_rng(7).integers(0, 3, size=(40, 2))
+    return [
+        random_set(50),
+        random_set(51, n=5),
+        WeightedPointSet(grid, np.random.default_rng(8).uniform(0.5, 2.0, 40)),
+        random_set(52, n=23),
+    ]
 
 
 def ladder_of_independent_runs(shard, K, z):
@@ -303,10 +333,31 @@ class TestDrcc:
         with pytest.raises(ValidationError):
             drcc([two_points] + shards[1:], N=80, K=3, k_fixed=3)
 
+    def test_engine_calls_do_not_grow_with_the_node_count(self, monkeypatch):
+        # each split level and each rung is one call over every node's shard
+        calls = {}
+        lloyd_problems = clustering._lloyd_problems
+
+        def counting_lloyd_problems(*args):
+            calls[nodes] += 1
+            return lloyd_problems(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ladder fallback ran; pick inputs where it does not")
+
+        monkeypatch.setattr(clustering, "_lloyd_problems", counting_lloyd_problems)
+        monkeypatch.setattr("kcoreset.distributed.add_costliest_point", refuse)
+        for nodes in (3, 8):
+            calls[nodes] = 0
+            shards, _ = make_shards(7, n_points=800, nodes=nodes)
+            drcc(shards, N=40, K=5, z=1, seed=0)
+        assert calls[3] > 0
+        assert calls[3] == calls[8]
+
     def test_unbiased_sum_cost_estimate_over_protocol_randomness(self):
         # ladders are fixed; allocation + sampling redrawn each run
         shards, full = make_shards(6, n_points=120)
-        ladders = [node_local_centers(s, 3, z=1) for s in shards]
+        ladders = node_local_centers(shards, 3, z=1)
         reports = [
             NodeReport(node_id=j, local_costs=l.costs) for j, l in enumerate(ladders)
         ]
