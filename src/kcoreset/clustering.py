@@ -5,12 +5,14 @@ The cost of a center set Q on a weighted point set is
 z = 1 (k-median).  The solver is Lloyd iteration over weighted 1-center
 steps, run on many independent problems at once: each problem is a
 contiguous row segment with its own centers.  Each Lloyd pass works on
-whole arrays: one cdist per problem, written into one distance array,
-gives every problem's cost, new assignment and restart of empty centers,
-and the rows sorted by (problem, cluster) make every cluster one
-contiguous segment, so all clusters of all problems are recentered at
+whole arrays and reads each of them once: one cdist per problem, written
+into one distance array, and one argmin per problem block give its new
+assignment and, from the distances at it, its cost and the restart of
+empty centers.  The rows sorted by (problem, cluster) make every cluster
+one contiguous segment, so all clusters of all problems are recentered at
 once: z=2 by segmented weighted sums, z=1 by one Weiszfeld solver that
-advances every segment's iterate together.  While a z=1 problem's
+advances every segment's iterate together, with the per-row scale of its
+vertex test measured once per Lloyd call.  While a z=1 problem's
 assignment still moves, its pass is capped: at most WEISZFELD_CAPPED_STEPS
 Weiszfeld steps per cluster from the previous center, which never raise
 the cost.  The pass after an unchanged assignment, and pass
@@ -98,19 +100,24 @@ def weighted_geometric_median(points: np.ndarray, weights: np.ndarray) -> np.nda
 
 
 def _segment_centers(points, weights, starts, z, tol=DEFAULT_MEDIAN_TOL, init=None,
-                     max_steps=WEISZFELD_MAX_ITER):
+                     max_steps=WEISZFELD_MAX_ITER, scale=None):
     """1-centers of the contiguous row segments that begin at ``starts``.
 
     Segment s is rows starts[s] up to starts[s+1] (the last one runs to the
     end); every segment must be non-empty.  z=2 gives the weighted means;
     z=1 gives Weiszfeld medians started from ``init`` or the means, after
-    at most ``max_steps`` steps (one count, or one per segment).
+    at most ``max_steps`` steps (one count, or one per segment).  ``scale``
+    is each row's largest absolute coordinate, which sets how close an
+    iterate must come to a row to sit on it; a Lloyd call computes it once
+    for all its passes, any other caller leaves it to be computed here.
     """
     if z == 2:
         return _segment_means(points, weights, starts)
     if init is None:
         init = _segment_means(points, weights, starts)
-    return _weiszfeld(points, weights, starts, init, tol, max_steps)
+    if scale is None:
+        scale = np.abs(points).max(axis=1)
+    return _weiszfeld(points, weights, starts, init, tol, max_steps, scale)
 
 
 def _segment_means(points, weights, starts):
@@ -118,16 +125,18 @@ def _segment_means(points, weights, starts):
     return sums / np.add.reduceat(weights, starts)[:, None]
 
 
-def _weiszfeld(points, weights, starts, init, tol, max_steps):
+def _weiszfeld(points, weights, starts, init, tol, max_steps, scale):
     """Weiszfeld iteration on every segment at once; see weighted_geometric_median.
 
     Each segment stops on its own tests, or returns its iterate right after
     its ``max_steps``-th update.  No step raises a segment's cost, so a
     capped segment is no worse than its ``init``.  A finished segment's
     rows are dropped, so the segments still iterating do not pay for it.
+    An iterate sits on a row within 1e-14 * (1 + the segment's largest
+    ``scale``), the rows' largest absolute coordinates.
     """
     sizes = np.diff(np.append(starts, points.shape[0]))
-    near_dist = 1e-14 * (1.0 + np.maximum.reduceat(np.abs(points).max(axis=1), starts))
+    near_dist = 1e-14 * (1.0 + np.maximum.reduceat(scale, starts))
     out = np.array(init, dtype=float)
     # a one-point segment is its own median
     single = sizes == 1
@@ -227,30 +236,43 @@ def _cost_and_assignment(points, weights, centers, sizes, z, filled=None):
     The rows are consecutive problems: problem p is the next sizes[p] rows,
     with its own centers[p] (``centers`` has shape (problems, c, dim)).  One
     cdist per problem measures its rows against its own centers only, so a
-    row's assignment indexes them.  Where ``filled[p, i]`` is False, center
-    i of problem p first restarts in place at that problem's currently most
-    expensive row, unless that would raise the problem's cost.
+    row's assignment indexes them.  Each problem's block is reduced once:
+    its argmin is the assignment (ties go to the lowest index), and the
+    distances at it, gathered from the block, give the cost.  Where
+    ``filled[p, i]`` is False, center i of problem p first restarts in place
+    at that problem's currently most expensive row, unless that would raise
+    the problem's cost; only a block whose centers moved takes its argmin
+    again.
     """
-    dist = np.empty((points.shape[0], centers.shape[1]))
+    n, c = points.shape[0], centers.shape[1]
+    dist = np.empty((n, c))
+    assign = np.empty(n, dtype=np.intp)
+    flat, row_base = dist.ravel(), np.arange(0, n * c, c)
     ends = np.cumsum(sizes)
     costs = []
     for p, (s, e) in enumerate(zip(ends - sizes, ends)):
-        cdist(points[s:e], centers[p], out=dist[s:e])
-        cost = float(weights[s:e] @ dist[s:e].min(axis=1) ** z)
+        block, block_assign = dist[s:e], assign[s:e]
+        cdist(points[s:e], centers[p], out=block)
+        np.argmin(block, axis=1, out=block_assign)
+        nearest = flat[row_base[s:e] + block_assign]
+        cost = float(weights[s:e] @ nearest**z)
         if filled is not None and not filled[p].all():
-            cost = _restart(points[s:e], weights[s:e], dist[s:e], cost, centers[p],
-                            np.flatnonzero(~filled[p]), z)
+            cost, moved = _restart(points[s:e], weights[s:e], block, nearest, cost, centers[p],
+                                   np.flatnonzero(~filled[p]), z)
+            if moved:
+                np.argmin(block, axis=1, out=block_assign)
         costs.append(cost)
-    return costs, dist.argmin(axis=1)
+    return costs, assign
 
 
-def _restart(points, weights, dist, cost, centers, empty, z):
+def _restart(points, weights, dist, nearest, cost, centers, empty, z):
     """Move each center in ``empty`` to the costliest row, unless the cost rises.
 
-    ``dist`` (rows x centers) and ``centers`` are updated in place; returns
-    the cost after the moves.
+    ``nearest`` holds each row's smallest entry of ``dist`` (rows x
+    centers).  ``dist`` and ``centers`` are updated in place; returns the
+    cost after the moves and whether any center moved.
     """
-    nearest = dist.min(axis=1)
+    moved_any = False
     for i in empty:
         scores = weights * nearest**z
         j = int(np.argmax(scores))
@@ -264,8 +286,8 @@ def _restart(points, weights, dist, cost, centers, empty, z):
             dist[:, i] = old
         else:
             centers[i] = points[j]
-            nearest, cost = moved, moved_cost
-    return cost
+            nearest, cost, moved_any = moved, moved_cost, True
+    return cost, moved_any
 
 
 def _lloyd(points, weights, init_centers, z) -> ClusteringResult:
@@ -297,6 +319,8 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
     centers = np.array(init_centers, dtype=float)
     n_problems, c, dim = centers.shape
     sizes = np.diff(np.append(starts, points.shape[0]))
+    # Weiszfeld's per-row scale, taken once: the rows never change
+    scale = np.abs(points).max(axis=1) if z == 1 else None
     live = np.arange(n_problems)  # the input problem of each entry of ``centers``
     unchanged = np.zeros(n_problems, dtype=bool)  # the last pass kept the assignment
     costs, assign = _cost_and_assignment(points, weights, centers, sizes, z)
@@ -316,6 +340,7 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
         flat[filled] = _segment_centers(
             points[order], weights[order], (np.cumsum(counts) - counts)[filled], z,
             init=flat[filled], max_steps=np.repeat(steps, c)[filled],
+            scale=None if scale is None else scale[order],
         )
         costs, new_assign = _cost_and_assignment(
             points, weights, centers, sizes, z, filled.reshape(-1, c)
@@ -340,6 +365,8 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
         keep = ~done
         rows = np.repeat(keep, sizes)
         points, weights, assign = points[rows], weights[rows], assign[rows]
+        if scale is not None:
+            scale = scale[rows]
         centers, sizes, live, unchanged = centers[keep], sizes[keep], live[keep], unchanged[keep]
         starts, offset = np.cumsum(sizes) - sizes, np.repeat(np.arange(live.size) * c, sizes)
     return results

@@ -8,7 +8,8 @@ fixed instance to pin the expected scale.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from scipy.spatial.distance import cdist
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcoreset import clustering
@@ -444,6 +445,89 @@ class TestLloydProblems:
                 ps = as_set(rng.integers(0, 4, size=(400, 3)), rng.integers(1, 6, 400))
             history = np.array(k_clustering(ps, k, z=1).cost_history)
             assert np.all(np.diff(history) <= 1e-12 * history[:-1])
+
+
+@st.composite
+def assignment_problems(draw):
+    """Problems of unequal size on a small grid, each with c centers drawn
+    from a few grid points (so centers repeat and rows tie), some of them
+    marked empty."""
+    c = draw(st.sampled_from([1, 2, 5]))
+    dim = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
+    n, m = sum(sizes), len(sizes) * c
+    grid = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    points = np.array(draw(st.lists(grid, min_size=n, max_size=n)), dtype=float)
+    weights = np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n)))
+    pool = draw(st.lists(grid, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m))
+    centers = np.array([pool[i] for i in picks], dtype=float).reshape(len(sizes), c, dim)
+    filled = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m))).reshape(-1, c)
+    return points, weights, centers, np.array(sizes), filled
+
+
+def one_dim_case(blocks, centers, filled):
+    points = np.concatenate([np.array(b, dtype=float) for b in blocks])[:, None]
+    return (points, np.ones(points.shape[0]), np.array(centers, dtype=float)[..., None],
+            np.array([len(b) for b in blocks]), np.array(filled))
+
+
+@pytest.mark.parametrize("z", [1, 2])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=assignment_problems())
+# problem 0's empty center 1 moves to the costliest row 10: the restart is kept
+@example(case=one_dim_case([[0, 1, 10], [2, 3]], [[0, 100], [2, 2]],
+                           [[True, False], [True, True]]))
+# center 1 serves three rows, and moving it to row 10 would raise the cost
+# from 5 to 15: the restart is rejected
+@example(case=one_dim_case([[7, 8], [0, 0, 0, 10]], [[7, 7], [5, 0]],
+                           [[True, True], [True, False]]))
+def test_one_reduction_matches_min_then_argmin(z, case):
+    # the cost and assignment read off one argmin per block are, bit for bit,
+    # a fresh min and argmin over the distances to the returned centers
+    points, weights, centers, sizes, filled = case
+    moved = centers.copy()
+    costs, assign = clustering._cost_and_assignment(points, weights, moved, sizes, z, filled)
+    assert assign.dtype == np.intp
+    ends = np.cumsum(sizes)
+    for p, (s, e) in enumerate(zip(ends - sizes, ends)):
+        dist = cdist(points[s:e], moved[p])
+        assert costs[p] == float(weights[s:e] @ dist.min(axis=1) ** z)
+        assert np.array_equal(assign[s:e], dist.argmin(axis=1))
+        # only an empty center moves, and only onto a row of its own problem
+        for i in np.flatnonzero((moved[p] != centers[p]).any(axis=1)):
+            assert not filled[p, i]
+            assert (points[s:e] == moved[p, i]).all(axis=1).any()
+
+
+def test_lloyd_scale_follows_its_rows():
+    # one z=1 call over two problems of three centers.  Problem 0, near the
+    # origin, converges first, so its rows are dropped while problem 1 still
+    # iterates.  Problem 1 lists its rows near the origin before its cluster
+    # near 1e8, which sorts first; that cluster's median is its heavy point,
+    # whose weight outweighs the pull of the others (|(2, 1)| = 2.24 < 2.5)
+    # only narrowly, so Weiszfeld creeps onto it and stops on it only where
+    # the vertex test scales with the rows' own magnitude
+    near = np.array([[0.0, 0.0], [0.5, 0.2], [9.0, 9.0], [9.2, 8.7], [-9.0, 9.0]])
+    p0 = np.array([1e8, 1e8])
+    far = p0 + np.array([[0.0, 0.0], [3.0, 0.0], [5.0, 0.0], [0.0, 2.0]])
+    # rows 0..11 on a line, from centers at 0 and 1: the split point moves
+    # for several passes
+    mixed = np.vstack([np.c_[np.arange(12.0), np.zeros(12)], far])
+    points = np.vstack([near, mixed])
+    weights = np.r_[np.ones(17), 2.5, np.ones(3)]
+    init = np.array([[[0.25, 0.1], [9.1, 8.85], [-9.0, 9.0]],
+                     [p0 + 1.0, mixed[0], mixed[1]]])
+    starts = np.array([0, 5])
+    runs = clustering._lloyd_problems(points, weights, starts, init, 1)
+    assert runs[0].iterations < runs[1].iterations
+    for run, rows, centers in zip(runs, (slice(0, 5), slice(5, 21)), init):
+        alone = clustering._lloyd(points[rows], weights[rows], centers, 1)
+        assert np.array_equal(run.centers, alone.centers)
+        assert np.array_equal(run.assignment, alone.assignment)
+        assert run.cost_history == alone.cost_history
+    assert np.array_equal(runs[1].assignment[12:], [0] * 4)
+    assert np.array_equal(runs[1].centers[0], p0)
 
 
 class TestBruteForce:
