@@ -17,7 +17,10 @@ assignment still moves, its pass is capped: at most WEISZFELD_CAPPED_STEPS
 Weiszfeld steps per cluster from the previous center, which never raise
 the cost.  The pass after an unchanged assignment, and pass
 LLOYD_MAX_ITER, are exact: they solve every median to tolerance.  A
-problem has converged when an exact pass leaves its assignment unchanged.
+median still unsolved after WEISZFELD_PLAIN_STEPS Weiszfeld steps takes
+Newton steps, each kept only if it does not raise the cost; where one is
+rejected, the Weiszfeld step is taken and Kuhn's test may stop the solve
+on the nearest data point.  A problem has converged when an exact pass leaves its assignment unchanged.
 A problem stops on its own, and its rows drop out.  A single problem is
 the plain k-center run.  The Weiszfeld solver is also the only 1-median
 code: ``weighted_geometric_median`` is its one-segment call, and
@@ -58,6 +61,8 @@ DEFAULT_MEDIAN_TOL = 1e-8
 WEISZFELD_MAX_ITER = 5000
 # Weiszfeld steps per cluster in a Lloyd pass whose assignment is still moving
 WEISZFELD_CAPPED_STEPS = 3
+# plain Weiszfeld steps before a segment solving to tolerance tries Newton steps
+WEISZFELD_PLAIN_STEPS = 30
 BRUTE_FORCE_MEDIAN_TOL = 1e-11
 
 
@@ -83,16 +88,20 @@ def clustering_cost(pointset: WeightedPointSet, centers: np.ndarray, z: int = 2)
 
 
 def weighted_geometric_median(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted geometric median by damped Weiszfeld iteration.
+    """Weighted geometric median by damped Weiszfeld iteration, then Newton steps.
 
     Starts from the weighted mean and stops when the gradient of
     sum_p w_p*||p - y|| has norm <= DEFAULT_MEDIAN_TOL, when an iteration
     leaves the iterate unchanged, or, if the iterate coincides with a data
     point, when that point satisfies the local optimality test (pull of the
     remaining points no larger than the point's own weight); the data point
-    itself is then returned.  This is the one-segment call of the solver
-    that Lloyd iteration and :func:`brute_force_optimal` run on many
-    clusters at once.
+    itself is then returned.  After WEISZFELD_PLAIN_STEPS Weiszfeld steps,
+    and away from data points, each step is a Newton step, kept only if
+    it does not raise the cost.  Where one does, the Weiszfeld step is
+    taken instead, and Kuhn's test, the local optimality test above, runs
+    at the data point nearest it: if the point passes, it is returned.
+    This is the one-segment call of the solver that Lloyd iteration and
+    :func:`brute_force_optimal` run on many clusters at once.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -129,11 +138,27 @@ def _weiszfeld(points, weights, starts, init, tol, max_steps, scale):
     """Weiszfeld iteration on every segment at once; see weighted_geometric_median.
 
     Each segment stops on its own tests, or returns its iterate right after
-    its ``max_steps``-th update.  No step raises a segment's cost, so a
-    capped segment is no worse than its ``init``.  A finished segment's
-    rows are dropped, so the segments still iterating do not pay for it.
-    An iterate sits on a row within 1e-14 * (1 + the segment's largest
-    ``scale``), the rows' largest absolute coordinates.
+    its ``max_steps``-th update (at most WEISZFELD_MAX_ITER).  No step
+    raises a segment's cost, so a capped segment is no worse than its
+    ``init``.  A finished segment's rows are dropped, so the segments still
+    iterating do not pay for it.  An iterate sits on a row within
+    1e-14 * (1 + the segment's largest ``scale``), the rows' largest
+    absolute coordinates.
+
+    The first WEISZFELD_PLAIN_STEPS steps are plain Weiszfeld steps, so
+    capped passes and short solves never see what follows.  After them, a
+    segment that no row sits on, with steps left before its limit, takes a
+    Newton step instead: it solves H s = the pull of its rows, with
+    H = sum_p w/d (I - u u^T), u the unit vector from the iterate to p and
+    d its length, plus a ridge of 1e-12 * sum_p w/d that keeps H positive
+    definite on collinear rows.  The step is no longer than the farthest
+    row, since the optimum lies in the rows' hull, nor than twice the
+    segment's last Newton step.  The next distance pass, which the segment
+    takes anyway, checks the step: it is kept if the cost did not rise.
+    Otherwise the segment takes the Weiszfeld step it passed up instead,
+    its next Newton step is at most half as long, and Kuhn's test runs at
+    the row nearest that Weiszfeld step: where the pull of the other rows
+    is at most the row's weight (+ ``tol``), the segment stops on the row.
     """
     sizes = np.diff(np.append(starts, points.shape[0]))
     near_dist = 1e-14 * (1.0 + np.maximum.reduceat(scale, starts))
@@ -142,19 +167,27 @@ def _weiszfeld(points, weights, starts, init, tol, max_steps, scale):
     single = sizes == 1
     out[single] = points[starts[single]]
     live = np.flatnonzero(~single)  # row of ``out`` of each segment still iterating
-    limit = np.broadcast_to(max_steps, sizes.shape)[live]
+    limit = np.minimum(np.broadcast_to(max_steps, sizes.shape)[live], WEISZFELD_MAX_ITER)
     rows = np.repeat(~single, sizes)
     # coordinates along rows, so each pass runs over long contiguous arrays
     pts, weights = points[rows].T.copy(), weights[rows]
     near_dist = np.repeat(near_dist, sizes)[rows]
     sizes, y = sizes[live], out[live].T
     starts = np.cumsum(sizes) - sizes
+    # once Newton steps start: each segment's cost before the Newton step it
+    # took (inf where it took none), the Weiszfeld step it passed up, and
+    # the longest Newton step it may take next
+    before = passed_up = reach = None
     for step in range(1, WEISZFELD_MAX_ITER + 1):
         if not live.size:
             break
+        newton = step > WEISZFELD_PLAIN_STEPS
         diff = np.repeat(y, sizes, axis=1)
         np.subtract(pts, diff, out=diff)
         dist = np.sqrt(np.einsum("ij,ij->j", diff, diff))
+        if newton:
+            w_dist = weights * dist
+            cost = np.add.reduceat(w_dist, starts)
         near = dist <= near_dist
         dist[near] = np.inf  # a point on the iterate does not pull
         inv = weights / dist
@@ -180,6 +213,31 @@ def _weiszfeld(points, weights, starts, init, tol, max_steps, scale):
             pull_vec[:, moving] *= 1.0 - np.minimum(1.0, w_here[~pinned] / pull[moving])
         y_new = y + pull_vec / inv_sum
         stop |= (y_new == y).all(axis=0)
+        if newton:
+            if before is None:
+                before, reach = np.full((2, live.size), np.inf)
+                passed_up = np.empty_like(y)
+            back = np.flatnonzero(cost > before)  # their Newton step raised the cost
+            y_new[:, back] = passed_up[:, back]
+            reach[back] /= 4.0  # half the rejected step's length
+            if back.size:
+                vertex, pinned = _nearest_row_test(
+                    pts, weights, near_dist, sizes, back, y_new[:, back], tol
+                )
+                stop[back] = pinned
+                y[:, back[pinned]] = vertex[:, pinned]
+            take = ~stop & (cost <= before) & (step < limit)
+            if near.any():
+                take[hit] = False
+            before[:] = np.inf
+            if take.any():
+                take, cand, length = _newton_steps(
+                    diff, w_dist, dist, inv_sum, pull_vec, y, sizes, take, reach
+                )
+                before[take] = cost[take]
+                reach[take] = 2.0 * length
+                passed_up[:, take] = y_new[:, take]
+                y_new[:, take] = cand
         capped = ~stop & (limit == step)
         if stop.any() or capped.any():
             out[live[stop]] = y[:, stop].T
@@ -189,8 +247,64 @@ def _weiszfeld(points, weights, starts, init, tol, max_steps, scale):
             pts, weights, near_dist = pts[:, rows], weights[rows], near_dist[rows]
             sizes, live, limit, y_new = sizes[keep], live[keep], limit[keep], y_new[:, keep]
             starts = np.cumsum(sizes) - sizes
+            if before is not None:
+                before, passed_up, reach = before[keep], passed_up[:, keep], reach[keep]
         y = y_new
     return out
+
+
+def _newton_steps(pull_terms, w_dist, dist, inv_sum, pull_vec, y, sizes, take, reach):
+    """Newton candidates of the segments in the mask ``take``; see _weiszfeld.
+
+    Per row, ``pull_terms`` holds w (p - y) / d, ``w_dist`` w d and
+    ``dist`` d; per segment, ``inv_sum`` is the sum of w / d, ``pull_vec``
+    the sum of the terms and ``reach`` the longest step allowed.  No row
+    of these segments sits on its iterate.  Returns the segments whose
+    candidate differs from their iterate, those candidates, and the
+    lengths of their steps.
+    """
+    rows = np.repeat(take, sizes)
+    terms = pull_terms[:, rows]
+    take, sizes = np.flatnonzero(take), sizes[take]
+    starts = np.cumsum(sizes) - sizes
+    # w/d u u^T = (w (p - y) / d) (w (p - y) / d)^T / (w d)
+    hess = np.add.reduceat(terms[:, None] * (terms / w_dist[rows])[None], starts, axis=2).T
+    hess *= -1.0
+    diag = np.arange(y.shape[0])
+    hess[:, diag, diag] += (1.0 + 1e-12) * inv_sum[take, None]  # H plus its ridge
+    step = np.linalg.solve(hess, pull_vec[:, take].T[..., None])[..., 0].T
+    length = np.sqrt(np.einsum("ij,ij->j", step, step))
+    bound = np.minimum(reach[take], np.maximum.reduceat(dist[rows], starts))
+    step *= np.minimum(1.0, bound / length)
+    cand = y[:, take] + step
+    moves = (cand != y[:, take]).any(axis=0)
+    return take[moves], cand[:, moves], np.minimum(length, bound)[moves]
+
+
+def _nearest_row_test(pts, weights, near_dist, sizes, segs, y, tol):
+    """Kuhn's test at the row nearest ``y`` in each segment of the list ``segs``.
+
+    Column i of ``y`` is a point of segment segs[i].  Returns each of these
+    segments' row nearest its point (the first one on ties) and whether it
+    is optimal: the pull of the segment's other rows there is at most the
+    weight of the rows on it, + ``tol``.
+    """
+    rows = np.repeat(np.isin(np.arange(sizes.size), segs), sizes)
+    pts, weights, near_dist, sizes = pts[:, rows], weights[rows], near_dist[rows], sizes[segs]
+    starts = np.cumsum(sizes) - sizes
+    diff = np.repeat(y, sizes, axis=1)
+    np.subtract(pts, diff, out=diff)
+    gap = np.einsum("ij,ij->j", diff, diff)
+    vertex = pts[:, np.lexsort((gap, np.repeat(np.arange(sizes.size), sizes)))[starts]]
+    diff = np.repeat(vertex, sizes, axis=1)
+    np.subtract(pts, diff, out=diff)
+    gap = np.sqrt(np.einsum("ij,ij->j", diff, diff))
+    on = gap <= near_dist
+    gap[on] = np.inf
+    w_here = np.add.reduceat(np.where(on, weights, 0.0), starts)
+    diff *= weights / gap
+    pull_vec = np.add.reduceat(diff, starts, axis=1)
+    return vertex, np.sqrt(np.einsum("ij,ij->j", pull_vec, pull_vec)) <= w_here + tol
 
 
 def one_mean(pointset: WeightedPointSet) -> tuple[np.ndarray, float]:

@@ -50,6 +50,12 @@ def as_set(points, weights=None):
     return WeightedPointSet(points, np.asarray(weights, dtype=float))
 
 
+def pull_at(points, weights, y):
+    """sum_p w_p (p - y) / ||p - y||, the descent direction of the 1-median cost at y."""
+    d = np.linalg.norm(points - y, axis=1)
+    return ((points - y) * (weights / d)[:, None]).sum(axis=0)
+
+
 def seed7_instance():
     return random_instance(7, n_range=(7, 7), dim_range=(3, 3))
 
@@ -118,6 +124,28 @@ class TestOneCenter:
         w = np.array([10.0, 1.0, 1.0, 1.0])
         center = weighted_geometric_median(pts, w)
         assert np.allclose(center, [0.0, 0.0], atol=1e-9)
+
+    def test_flat_two_group_median_converges_fast(self, monkeypatch):
+        # two tight groups 2 apart along the last coordinate, as the label
+        # encoding puts them: the cost is flat along the line between them,
+        # where Weiszfeld crawls (304 steps from the mean) but Newton does not
+        rng = np.random.default_rng(0)
+        pts = rng.normal(0.0, 0.05, size=(98, 4))
+        pts[50:, -1] += 2.0
+        w = np.ones(98)
+        monkeypatch.setattr(clustering, "WEISZFELD_MAX_ITER", 100)
+        center = weighted_geometric_median(pts, w)
+        assert np.linalg.norm(pull_at(pts, w, center)) <= clustering.DEFAULT_MEDIAN_TOL
+
+    def test_vertex_optimum_is_returned_exactly(self):
+        # the heavy point outweighs the pull of the other two by 1e-3 only,
+        # so Weiszfeld creeps towards it; Kuhn's test stops on it.  Plain
+        # Weiszfeld stops after 5000 steps at (0.004, 0), at cost 2.0099793
+        pts = np.array([[0.0, 0.0], [1.0, 0.1], [1.0, -0.1]])
+        w = np.array([2.0 * np.cos(np.arctan(0.1)) + 1e-3, 1.0, 1.0])
+        center = weighted_geometric_median(pts, w)
+        assert np.array_equal(center, [0.0, 0.0])
+        assert w @ np.linalg.norm(pts - center, axis=1) < 2.0099793
 
     def test_median_of_single_point(self):
         assert np.array_equal(
@@ -400,6 +428,18 @@ class TestLloydProblems:
                 y = inv @ pts / inv.sum()
             np.testing.assert_allclose(got[s], y, rtol=1e-12)
 
+    def test_solver_returns_its_last_update_at_the_step_limit(self, monkeypatch):
+        # a segment solving to tolerance stops at WEISZFELD_MAX_ITER steps
+        # with its last update, like a capped one
+        rng = np.random.default_rng(4)
+        pts, w = rng.uniform(size=(20, 3)), rng.uniform(0.5, 2.0, 20)
+        monkeypatch.setattr(clustering, "WEISZFELD_MAX_ITER", 2)
+        y = w @ pts / w.sum()
+        for _ in range(2):
+            inv = w / np.linalg.norm(pts - y, axis=1)
+            y = inv @ pts / inv.sum()
+        np.testing.assert_allclose(weighted_geometric_median(pts, w), y, rtol=1e-12)
+
     @staticmethod
     def assert_one_medians(points, weights, clusters, centers):
         for i, center in enumerate(centers):
@@ -432,19 +472,106 @@ class TestLloydProblems:
         assert run.converged
         self.assert_one_medians(points, weights, run.assignment, run.centers)
 
-    @pytest.mark.parametrize("kind", ["uniform", "grid"])
+    @pytest.mark.parametrize("kind", ["uniform", "grid", "line"])
     @pytest.mark.parametrize("k", [7, 16, 32])
     def test_cost_history_never_increases_at_scale(self, kind, k):
         # large clusters take capped passes for many rounds; duplicate-heavy
-        # grid points put Weiszfeld iterates on data points
+        # grid points put Weiszfeld iterates on data points; duplicate-heavy
+        # points on a line in 3-d make every Newton system singular
         for seed in range(4):
             rng = np.random.default_rng([seed, k])
             if kind == "uniform":
                 ps = as_set(rng.uniform(size=(2000, 5)))
-            else:
+            elif kind == "grid":
                 ps = as_set(rng.integers(0, 4, size=(400, 3)), rng.integers(1, 6, 400))
+            else:
+                t = rng.integers(0, 40, 400)[:, None]
+                ps = as_set(np.array([0.3, -1.0, 2.0]) + t * np.array([1.0, 2.0, 2.0]) / 3.0,
+                            rng.integers(1, 6, 400))
             history = np.array(k_clustering(ps, k, z=1).cost_history)
             assert np.all(np.diff(history) <= 1e-12 * history[:-1])
+
+
+class TestLongSolves:
+    """Segments still solving after WEISZFELD_PLAIN_STEPS Weiszfeld steps."""
+
+    @staticmethod
+    def segment_costs(points, weights, starts, centers):
+        sizes = np.diff(np.append(starts, len(points)))
+        d = np.linalg.norm(points - np.repeat(centers, sizes, axis=0), axis=1)
+        return np.add.reduceat(weights * d, starts)
+
+    def test_each_segment_stops_on_its_own_vertex(self):
+        # segments 0-2 have a vertex optimum that Weiszfeld only creeps
+        # towards from the mean; segments 3 and 4 start on their optimal
+        # vertex, a duplicated row, and may take only two steps; segment 5
+        # is the flat two-group set, whose optimum is no row
+        w_tip = 2.0 * np.cos(np.arctan(0.1)) + 1e-3
+        tip = np.array([[0.0, 0.0], [1.0, 0.1], [1.0, -0.1]])
+        rng = np.random.default_rng(0)
+        flat = rng.normal(0.0, 0.05, size=(98, 2))
+        flat[50:, -1] += 2.0
+        segments = [
+            (tip, [w_tip, 1.0, 1.0]),
+            (np.array([5.0, 5.0]) + tip[:, ::-1], [w_tip, 1.0, 1.0]),
+            (np.array([-3.0, 1.0]) + 2.0 * tip[[1, 0, 2]], [1.0, w_tip, 1.0]),
+            (np.array([[2.0, 2.0], [2.0, 2.0], [3.0, 2.0], [2.0, 3.0]]), [1.0] * 4),
+            (np.array([[-1.0, 0.0], [-1.0, 0.0], [-1.0, 1.0], [0.0, 0.0]]), [1.0] * 4),
+            (flat, [1.0] * 98),
+        ]
+        points = np.vstack([p for p, _ in segments])
+        weights = np.concatenate([w for _, w in segments])
+        sizes = np.array([len(p) for p, _ in segments])
+        starts = np.cumsum(sizes) - sizes
+        init = clustering._segment_means(points, weights, starts)
+        init[3], init[4] = points[starts[3]], points[starts[4]]
+        steps = np.array([clustering.WEISZFELD_MAX_ITER] * 3 + [2, 2, clustering.WEISZFELD_MAX_ITER])
+        got = clustering._segment_centers(points, weights, starts, 1, init=init, max_steps=steps)
+        for s, row in enumerate((0, 0, 1, 0, 0)):
+            assert np.array_equal(got[s], segments[s][0][row]), s
+        assert np.linalg.norm(pull_at(flat, np.ones(98), got[5])) <= clustering.DEFAULT_MEDIAN_TOL
+
+    @pytest.mark.parametrize("plain_steps", [0, 30])
+    def test_degenerate_segments(self, monkeypatch, plain_steps):
+        # singular or near-singular Newton systems, also from the first step;
+        # each segment is solved within 10 steps of the first Newton step
+        monkeypatch.setattr(clustering, "WEISZFELD_PLAIN_STEPS", plain_steps)
+        monkeypatch.setattr(clustering, "WEISZFELD_MAX_ITER", plain_steps + 10)
+        line = lambda t: np.array([0.3, -1.0, 2.0]) + np.outer(t, [1.0, 2.0, 2.0]) / 3.0
+        segments = [
+            # collinear in 3-d: the weighted median of the line, t = 4
+            (line([0.0, 1.0, 1.5, 4.0, 7.0]), [1.0, 1.0, 1.0, 1.0, 2.5], None),
+            # even split: every t in [1, 2] is optimal; start off the interval
+            (line([0.0, 1.0, 2.0, 3.0]), [1.0] * 4, line([0.25])[0]),
+            # two points: the whole segment between them is optimal
+            (line([0.0, 1.0]), [1.0, 1.0], line([1.5])[0]),
+            # two points: the heavier one is optimal; start on the other
+            (line([0.0, 1.0]), [1.0, 1.001], line([0.0])[0]),
+            # the row at t = 1 is optimal but for 1e-3: plain Weiszfeld from
+            # it crawls towards t = 2 by a factor 1.001 a step
+            (line([0.0, 1.0, 2.0, 3.0]), [1.0, 1.0, 1.0, 1.001], line([1.0])[0]),
+            # duplicate rows: the optimum is on the fourfold row
+            (np.array([[1.0, 1.0, 1.0]] * 4 + [[2.0, 1.0, 1.0], [1.0, 3.0, 1.0]]), [1.0] * 6, None),
+            # duplicate rows around an interior optimum
+            (np.repeat(np.eye(3), 2, axis=0), [1.0] * 6, None),
+        ]
+        points = np.vstack([p for p, _, _ in segments])
+        weights = np.concatenate([w for _, w, _ in segments])
+        sizes = np.array([len(p) for p, _, _ in segments])
+        starts = np.cumsum(sizes) - sizes
+        init = clustering._segment_means(points, weights, starts)
+        for s, (_, _, start) in enumerate(segments):
+            if start is not None:
+                init[s] = start
+        got = clustering._segment_centers(points, weights, starts, 1, init=init.copy())
+        assert np.isfinite(got).all()
+        costs = self.segment_costs(points, weights, starts, got)
+        assert np.all(costs <= self.segment_costs(points, weights, starts, init))
+        best = self.segment_costs(points, weights, starts, np.array([
+            line([4.0])[0], line([1.5])[0], line([0.5])[0], line([1.0])[0], line([2.0])[0],
+            [1.0, 1.0, 1.0], np.full(3, 1.0 / 3.0),
+        ]))
+        np.testing.assert_allclose(costs, best, rtol=1e-9)
 
 
 @st.composite
