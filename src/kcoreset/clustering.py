@@ -30,8 +30,12 @@ tolerance.
 Initialization is recursive and draws no randomness: a 2m-center run
 starts from the union of per-cluster 2-center solutions of an m-center run,
 and a (2m+1)-center run adds the costliest point against those 2m centers.
-One recursion can carry many point sets (the shards of a distributed run):
-each of its levels is then one solver call over all of them.
+Every run on one point set comes from that set's recursion, which the set
+keeps for as long as it lives: k_clustering, k_clustering_doubled and the
+coreset constructions on the same set and z share its runs, so each is
+solved once, and the shared runs are read-only.  One recursion can also
+carry many point sets (the shards of a distributed run): each of its
+levels is then one solver call over all of them.
 The split scores every point once against its center in the m-center run
 (that cluster's 1-center, once the run has converged), sorts the points by
 cluster once, and solves every cluster's 2-center run from {its center, its
@@ -517,27 +521,33 @@ def add_costliest_point(pointset: WeightedPointSet, run: ClusteringResult) -> Cl
 
 
 class _Recursion:
-    """The k/2 -> k recursion on weighted point sets: the one place a run is made.
+    """The k/2 -> k recursion on weighted point sets: where every run is made.
 
     The sets share one dimension and are solved together, level by level:
     the 1-center runs of all sets are one _segment_centers call, a split
     level is one _lloyd_problems call over the clusters of all sets, and a
     k-center rung is one _lloyd_problems call with one problem per set.
     Every set's runs are bit for bit those of a recursion on that set
-    alone.  A single set is the plain case: its runs are element 0.
+    alone.  A single set is the plain case: its runs are element 0, and
+    the recursion lives with its set (see _recursion_of).
 
     The engine draws no randomness: every run, and the 2-center split of its
     clusters, is fixed by (points, weights, z).  Each is computed once here
     and shared by every k solved through this object, so one recursion
     serves a k-center run, its 2k-center continuation, a whole search over
-    k and a ladder of runs.  An odd k takes the 2*(k//2) split centers plus
-    the costliest point against them, argmax w_p * min_q ||p - q||^z, the
-    first one on ties.
+    k and a ladder of runs.  The runs it returns are shared, so their
+    centers, assignments and split costs are read-only.  An odd k takes the
+    2*(k//2) split centers plus the costliest point against them, argmax
+    w_p * min_q ||p - q||^z, the first one on ties.
+
+    It keeps each set's points and weights, never the set itself, so a
+    set that holds its recursion forms no reference cycle with it.
     """
 
     def __init__(self, pointsets: list, z: int):
         _validate_z(z)
-        self.pointsets, self.z = list(pointsets), z
+        self.sets, self.z = [(ps.points, ps.weights) for ps in pointsets], z
+        self.largest = max((ps.size for ps in pointsets), default=0)
         self._runs = {}    # k -> every set's min(k, |P|)-center run
         # k -> every set's split of its k-center run: (2k-center init, per-cluster 2-center costs)
         self._splits = {}
@@ -549,44 +559,45 @@ class _Recursion:
         """
         if k in self._runs:
             return self._runs[k]
-        largest = max(ps.size for ps in self.pointsets)
-        if not 1 <= k <= largest:
-            raise ValidationError(f"k must be in [1, {largest}], got {k}")
+        if not 1 <= k <= self.largest:
+            raise ValidationError(f"k must be in [1, {self.largest}], got {k}")
         runs = [
-            None if ps.size > k else _trivial_result(ps.points, ps.weights, ps.points.copy(), self.z)
-            for ps in self.pointsets
+            None if points.shape[0] > k else _trivial_result(points, weights, points.copy(), self.z)
+            for points, weights in self.sets
         ]
         todo = [s for s, run in enumerate(runs) if run is None]
         if todo:
             # the sets still to solve, one after another
-            sets = [self.pointsets[s] for s in todo]
-            sizes = np.array([ps.size for ps in sets])
-            points = np.vstack([ps.points for ps in sets])
-            weights = np.concatenate([ps.weights for ps in sets])
+            sets = [self.sets[s] for s in todo]
+            sizes = np.array([points.shape[0] for points, _ in sets])
+            points = np.vstack([points for points, _ in sets])
+            weights = np.concatenate([weights for _, weights in sets])
             starts = np.cumsum(sizes) - sizes
             if k == 1:
                 centers = _segment_centers(points, weights, starts, self.z)
                 solved = [
-                    _trivial_result(ps.points, ps.weights, centers[i : i + 1], self.z)
-                    for i, ps in enumerate(sets)
+                    _trivial_result(p, w, centers[i : i + 1], self.z)
+                    for i, (p, w) in enumerate(sets)
                 ]
             else:
                 splits = self._split(k // 2)
                 init = [splits[s][0] for s in todo]
                 if k % 2 == 1:
-                    for i, ps in enumerate(sets):
-                        scores = ps.weights * cdist(ps.points, init[i]).min(axis=1) ** self.z
-                        init[i] = np.vstack([init[i], ps.points[np.argmax(scores)]])
+                    for i, (p, w) in enumerate(sets):
+                        scores = w * cdist(p, init[i]).min(axis=1) ** self.z
+                        init[i] = np.vstack([init[i], p[np.argmax(scores)]])
                 solved = _lloyd_problems(points, weights, starts, np.stack(init), self.z)
             for s, run in zip(todo, solved):
                 runs[s] = run
+        for run in runs:
+            run.centers.flags.writeable = run.assignment.flags.writeable = False
         self._runs[k] = runs
         return runs
 
     def doubled(self, k: int) -> list:
         """Every set's k-center run and min(2k, |P|)-center run seeded from its clusters."""
         bases = self.run(k)
-        twice = self.run(min(2 * k, max(ps.size for ps in self.pointsets)))
+        twice = self.run(min(2 * k, self.largest))
         return [
             DoubledRun(base, doubled, split[1])
             for base, doubled, split in zip(bases, twice, self._split(k))
@@ -594,15 +605,32 @@ class _Recursion:
 
     def _split(self, k: int) -> list:
         if k not in self._splits:
-            self._splits[k] = _split_init(self.pointsets, self.run(k))
+            splits = _split_init(self.sets, self.run(k))
+            for _, split_costs in splits:
+                split_costs.flags.writeable = False
+            self._splits[k] = splits
         return self._splits[k]
 
 
-def _split_init(pointsets, bases) -> list:
+def _recursion_of(pointset: WeightedPointSet, z: int) -> _Recursion:
+    """The one recursion that makes every run on ``pointset`` alone at exponent z.
+
+    It is kept on the set and lives exactly as long as the set, so every
+    k-center run, doubled run and size search on the same set, whichever
+    caller asks, solves each run once.
+    """
+    recursion = pointset._recursions.get(z)
+    if recursion is None:
+        recursion = pointset._recursions[z] = _Recursion([pointset], z)
+    return recursion
+
+
+def _split_init(sets, bases) -> list:
     """2-center solutions of every cluster of each run; one (centers, costs) pair per run.
 
-    ``bases[i]`` is a run on ``pointsets[i]``.  Each cluster's 2-center run
-    is seeded with {its center in the base run, its most expensive point}:
+    ``bases[i]`` is a run on the set whose (points, weights) are
+    ``sets[i]``.  Each cluster's 2-center run is seeded with {its center in
+    the base run, its most expensive point}:
     add_costliest_point on the cluster's 1-center run, whose center is the
     one in the base run (a converged run's center already is its cluster's
     1-center, so it is not solved again).  The sets' rows are stacked and
@@ -616,8 +644,8 @@ def _split_init(pointsets, bases) -> list:
     assignment = np.concatenate([base.assignment + off for base, off in zip(bases, offsets)])
     centers = np.vstack([base.centers for base in bases])
     order = np.argsort(assignment, kind="stable")
-    points = np.vstack([ps.points for ps in pointsets])[order]
-    weights = np.concatenate([ps.weights for ps in pointsets])[order]
+    points = np.vstack([points for points, _ in sets])[order]
+    weights = np.concatenate([weights for _, weights in sets])[order]
     gaps = points - centers[assignment[order]]
     scores = weights * np.linalg.norm(gaps, axis=1) ** z
     counts = np.bincount(assignment, minlength=n_clusters)
@@ -657,9 +685,12 @@ def k_clustering(pointset: WeightedPointSet, k: int, z: int = 2) -> ClusteringRe
     Returns:
         ClusteringResult whose centers are 1-center optimal for their own
         clusters (to solver tolerance), with per-point assignment, final
-        cost, and the cost trace of the run.
+        cost, and the cost trace of the run.  The result is shared: the
+        run is kept with ``pointset`` and every later call on the same set
+        that needs it, through any function of this package, returns the
+        same object.  Its ``centers`` and ``assignment`` are read-only.
     """
-    return _Recursion([pointset], z).run(k)[0]
+    return _recursion_of(pointset, z).run(k)[0]
 
 
 @dataclass
@@ -685,9 +716,10 @@ def k_clustering_doubled(pointset: WeightedPointSet, k: int, z: int = 2) -> Doub
     Both runs come from one recursion, so the 2k-center run is
     k_clustering(pointset, min(2*k, |P|), z) exactly, and the k-center run
     and the per-cluster 2-center costs that the size search and the error
-    certificate need are exposed with it.
+    certificate need are exposed with it.  Both runs are shared and
+    read-only, as k_clustering's are.
     """
-    return _Recursion([pointset], z).doubled(k)[0]
+    return _recursion_of(pointset, z).doubled(k)[0]
 
 
 @dataclass

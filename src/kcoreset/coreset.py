@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .clustering import ClusteringResult, DoubledRun, _Recursion
+from .clustering import ClusteringResult, DoubledRun, _recursion_of
 from .data import WeightedPointSet, load_points_and_weights, save_pointset
 from .errors import ThresholdNotReachedError, ValidationError
 
@@ -207,13 +207,14 @@ def rcc_fixed_size(
     """Robust coreset of exactly k cluster centers.
 
     The construction draws no randomness, so ``seed`` is ignored; the
-    keyword stays only so that existing callers keep working.  One
-    recursion makes the k-center run and, when ``certify`` is set, its
-    2k-center continuation for the error certificate; the coreset's
+    keyword stays only so that existing callers keep working.  The point
+    set's recursion makes the k-center run and, when ``certify`` is set,
+    its 2k-center continuation for the error certificate; the coreset's
     eps_bound is then the realized max-distance bound (the tighter of the
     two certified values).  Without it only the k-center run is computed.
+    Runs already made on the same set, by any earlier call, are reused.
     """
-    recursion = _Recursion([pointset], z)
+    recursion = _recursion_of(pointset, z)
     coreset = coreset_from_run(
         pointset, recursion.run(k)[0], provenance={"algorithm": "rcc_fixed", "rho": rho}
     )
@@ -237,8 +238,9 @@ def rcc(
     w_min * (eps/rho)^z, which certifies that every rho-Lipschitz cost
     function (with per-point cost >= 1) sees at most a (1 +/- eps) relative
     error.  The search doubles k and then binary-refines to the smallest
-    passing size on that lattice.  All its sizes come from one recursion,
-    so every run that two sizes share is solved once.  It draws no
+    passing size on that lattice.  All its sizes come from the point
+    set's one recursion, so every run that two sizes share, or that an
+    earlier call on the same set made, is solved once.  It draws no
     randomness: the result is fixed by the data, eps, rho, z and k_max.
 
     Raises ThresholdNotReachedError when no k up to k_max passes; the error
@@ -253,7 +255,7 @@ def rcc(
     k_max = min(k_max, pointset.size)
     threshold = pointset.w_min * (eps / rho) ** z
 
-    recursion = _Recursion([pointset], z)
+    recursion = _recursion_of(pointset, z)
     tried = []  # in the order first tried, so a tie in min() goes to the earliest
 
     def gap_at(k: int) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,11 +53,19 @@ class WeightedPointSet:
     points has shape (n, d) and weights shape (n,) with strictly positive
     entries.  When ``encoding`` is set, the last coordinate holds encoded
     labels and is excluded from feature normalization.
+
+    A set keeps the clustering runs made on it, one recursion per cost
+    exponent z, for as long as it lives (see ``clustering._recursion_of``):
+    every later clustering of the same set reads them.  So neither its
+    points nor its weights may be written after it is built; derive a new
+    set instead.
     """
 
     points: np.ndarray
     weights: np.ndarray
     encoding: LabelEncoding | None = None
+    # z -> the clustering recursion on this set's arrays
+    _recursions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)

@@ -150,8 +150,6 @@ def quantile_grid(values, grid_points: int = CDF_GRID_POINTS):
 _SYNTH_KINDS = ("blobs", "uniform")
 # the constructions that take a coreset size
 _SIZED_KINDS = ("rcc_fixed", "uniform", "sensitivity", "farthest", "drcc", "cdcc")
-# the constructions that draw no randomness, so every run builds the same coreset
-_SEED_FREE_KINDS = ("rcc", "rcc_fixed")
 
 
 def _load_config_dataset(entry: dict) -> WeightedPointSet:
@@ -263,10 +261,12 @@ def run_benchmark(config: dict, out_dir: str | None = None):
     call on inputs chosen by its problem: svm cells relabel the dataset,
     split it into train and test parts and build their coreset on the train
     part; all other cells of a task share one coreset of the whole dataset.
-    A seed-free construction (``rcc``, ``rcc_fixed``) is built once per
-    (dataset, algorithm, size) and once per svm train part, and shared by
-    every run.  Any exception raised in a cell fails that cell's record
-    only.
+    Each svm split is made once per (dataset, problem), and the full-data
+    models once per (dataset, problem), so all tasks on a dataset or a
+    train part work on one point set object.  That object keeps its
+    clustering runs: the first task that clusters a set pays for the runs
+    that every later construction and problem on it shares.  Any
+    exception raised in a cell fails that cell's record only.
 
     Returns (records, summary); when out_dir is given also writes runs.csv,
     summary.json, cdf.csv and timings.csv there.
@@ -306,21 +306,13 @@ def run_benchmark(config: dict, out_dir: str | None = None):
             full_cache[di, pi] = (model, problem_cost(problem, pointset, model))
         return full_cache[di, pi]
 
-    # seed-free coresets, or the error building them raised, by cell and svm problem
-    built: dict = {}
+    # svm (train, test) parts by (dataset index, problem index), shared across cells
+    svm_splits: dict = {}
 
-    def build(algorithm, pointset, size, seed, key):
-        outcome = built.get(key)
-        if outcome is None:
-            try:
-                outcome = construct_coreset(algorithm, pointset, size, seed)
-            except Exception as exc:
-                outcome = exc
-            if _kind(algorithm) in _SEED_FREE_KINDS:
-                built[key] = outcome
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+    def svm_split(pointset, problem, entry, di, pi):
+        if (di, pi) not in svm_splits:
+            svm_splits[di, pi] = _svm_train_test(pointset, problem, entry)
+        return svm_splits[di, pi]
 
     def run_task(di, ds_name, pointset, ai, algorithm, si, size, run):
         algo_name = algorithm.get("name", algorithm.get("kind", f"algo{ai}"))
@@ -330,14 +322,14 @@ def run_benchmark(config: dict, out_dir: str | None = None):
         shared = None  # coreset of the whole dataset, or the error building it raised
         if any(problem.name != "svm" for _, problem, _ in problems):
             try:
-                shared = build(algorithm, pointset, size, seed, (di, ai, si))
+                shared = construct_coreset(algorithm, pointset, size, seed)
             except Exception as exc:
                 shared = exc
         for pi, (p_name, problem, entry) in enumerate(problems):
             try:
                 if problem.name == "svm":
-                    scored, held_out = _svm_train_test(pointset, problem, entry)
-                    coreset = build(algorithm, scored, size, seed, (di, ai, si, pi))
+                    scored, held_out = svm_split(pointset, problem, entry, di, pi)
+                    coreset = construct_coreset(algorithm, scored, size, seed)
                     full_model = full_cost = None  # accuracy needs no full-data model
                 elif isinstance(shared, Exception):
                     raise shared

@@ -50,6 +50,18 @@ def as_set(points, weights=None):
     return WeightedPointSet(points, np.asarray(weights, dtype=float))
 
 
+def fresh_copy(ps):
+    """The same data in a new point set, which shares no clustering run with ``ps``."""
+    return WeightedPointSet(ps.points.copy(), ps.weights.copy())
+
+
+def assert_same_run(a, b):
+    assert np.array_equal(a.centers, b.centers)
+    assert np.array_equal(a.assignment, b.assignment)
+    assert (a.cost, a.z, a.iterations, a.converged) == (b.cost, b.z, b.iterations, b.converged)
+    assert a.cost_history == b.cost_history
+
+
 def pull_at(points, weights, y):
     """sum_p w_p (p - y) / ||p - y||, the descent direction of the 1-median cost at y."""
     d = np.linalg.norm(points - y, axis=1)
@@ -177,10 +189,11 @@ class TestEngine:
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_deterministic_at_odd_and_even_k(self, k):
-        # the engine draws no randomness: the data alone fixes every run
+        # the engine draws no randomness: the data alone fixes every run,
+        # also in a recursion that shares nothing with the first one
         ps = as_set(*random_instance(21, n_range=(40, 40)))
         a = k_clustering(ps, k)
-        b = k_clustering(ps, k)
+        b = k_clustering(fresh_copy(ps), k)
         assert np.array_equal(a.centers, b.centers)
         assert np.array_equal(a.assignment, b.assignment)
         assert a.cost == b.cost
@@ -322,6 +335,13 @@ def test_every_cluster_center_is_its_one_center(z, data, k):
 
 
 class TestDoubledRun:
+    """Runs and their 2k-center continuations.
+
+    A point set keeps the runs made on it, so a monkeypatched engine
+    constant (LLOYD_MAX_ITER, WEISZFELD_*) takes effect only on point sets
+    built after the patch; every test here builds its own.
+    """
+
     @pytest.mark.parametrize("z", [1, 2])
     @pytest.mark.parametrize("seed", range(10))
     def test_gap_nonnegative_and_split_sandwich(self, z, seed):
@@ -337,7 +357,7 @@ class TestDoubledRun:
         ps = as_set(*random_instance(41, n_range=(30, 30)))
         for k, z, seed in [(3, 2, 5), (2, 1, 9), (5, 2, 1)]:
             run = k_clustering_doubled(ps, k, z=z)
-            plain = k_clustering(ps, 2 * k, z=z)
+            plain = k_clustering(fresh_copy(ps), 2 * k, z=z)
             assert np.array_equal(run.doubled.centers, plain.centers)
             assert run.doubled.cost == plain.cost
 
@@ -389,6 +409,66 @@ class TestDoubledRun:
         # own convergence or its own pass cap, as its one-problem run does
         monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", max_iter)
         self.test_split_costs_match_growing_each_clusters_one_center_run(z)
+
+
+class TestSharedRuns:
+    """Runs kept with their point set: every caller on the same set shares them.
+
+    A monkeypatched engine constant (LLOYD_MAX_ITER, WEISZFELD_*) takes
+    effect only on point sets built after the patch.
+    """
+
+    # (function, k, z) calls on one set; z = 1 and z = 2 share the set
+    CALLS = [
+        (k_clustering, 5, 2), (k_clustering_doubled, 3, 1), (k_clustering, 4, 1),
+        (k_clustering_doubled, 2, 2), (k_clustering, 6, 2), (k_clustering, 3, 1),
+        (k_clustering_doubled, 5, 2), (k_clustering, 1, 1), (k_clustering_doubled, 1, 2),
+    ]
+
+    @pytest.mark.parametrize("order", [
+        range(9), range(8, -1, -1), [4, 0, 7, 2, 6, 1, 8, 3, 5],
+    ], ids=["forward", "backward", "shuffled"])
+    def test_interleaved_calls_match_fresh_sets(self, order):
+        ps = as_set(*random_instance(61, n_range=(40, 40)))
+        for i in order:
+            fn, k, z = self.CALLS[i]
+            got, alone = fn(ps, k, z), fn(fresh_copy(ps), k, z)
+            if fn is k_clustering:
+                assert_same_run(got, alone)
+            else:
+                assert_same_run(got.base, alone.base)
+                assert_same_run(got.doubled, alone.doubled)
+                assert np.array_equal(got.split_costs, alone.split_costs)
+
+    def test_a_run_is_solved_once_and_shared(self):
+        ps = as_set(*random_instance(62, n_range=(30, 30)))
+        run = k_clustering(ps, 4, z=1)
+        assert k_clustering(ps, 4, z=1) is run
+        assert k_clustering_doubled(ps, 2, z=1).doubled is run
+        assert k_clustering(ps, 4, z=2) is not run
+
+    def test_shared_runs_are_read_only(self):
+        ps = as_set(*random_instance(63, n_range=(20, 20)))
+        run = k_clustering(ps, 3)
+        with pytest.raises(ValueError):
+            run.centers[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            run.assignment[0] = 1
+        with pytest.raises(ValueError):
+            k_clustering_doubled(ps, 2).split_costs[0] = 0.0
+        # the points themselves cost 0 at k = |P|, and are a copy of them
+        everything = k_clustering(ps, ps.size)
+        with pytest.raises(ValueError):
+            everything.centers[0, 0] = 1.0
+        assert ps.points.flags.writeable
+
+    def test_patched_constant_reaches_only_sets_built_after_it(self, monkeypatch):
+        ps = as_set(*random_instance(64, n_range=(60, 60)))
+        before = k_clustering(ps, 4, z=1)
+        assert before.iterations > 1
+        monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", 1)
+        assert k_clustering(ps, 4, z=1) is before
+        assert k_clustering(fresh_copy(ps), 4, z=1).iterations == 1
 
 
 class TestLloydProblems:

@@ -1,5 +1,7 @@
 """Tests for coreset construction, error certification, and persistence."""
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -20,6 +22,7 @@ from kcoreset import (
     normalize_features,
     rcc,
     rcc_fixed_size,
+    sensitivity_sample,
     synthetic_blobs,
 )
 from kcoreset import clustering
@@ -33,6 +36,19 @@ def as_set(points, weights=None):
     if weights is None:
         weights = np.ones(len(points))
     return WeightedPointSet(points, np.asarray(weights, dtype=float))
+
+
+def fresh_copy(ps):
+    """The same data in a new point set, which shares no clustering run with ``ps``."""
+    return WeightedPointSet(ps.points.copy(), ps.weights.copy())
+
+
+def assert_same_coreset(a, b):
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.weights, b.weights)
+    assert a.provenance == b.provenance
+    assert a.eps_bound == b.eps_bound
+    assert a.certificate == b.certificate
 
 
 def spread_set(seed, n=80, d=3):
@@ -184,7 +200,7 @@ class TestAdaptive:
     def test_deterministic(self):
         ps = clustered_set(12)
         a = rcc(ps, eps=0.3)
-        b = rcc(ps, eps=0.3)
+        b = rcc(fresh_copy(ps), eps=0.3)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.weights, b.weights)
 
@@ -235,7 +251,7 @@ class TestAdaptive:
     def test_equals_fixed_size_at_the_chosen_k(self, z, eps):
         ps = clustered_set(17, spread=0.001)
         adaptive = rcc(ps, eps=eps, z=z, rho=2.0)
-        fixed = rcc_fixed_size(ps, adaptive.certificate.k, z=z, rho=2.0)
+        fixed = rcc_fixed_size(fresh_copy(ps), adaptive.certificate.k, z=z, rho=2.0)
         assert np.array_equal(adaptive.points, fixed.points)
         assert np.array_equal(adaptive.weights, fixed.weights)
         assert adaptive.certificate == fixed.certificate
@@ -246,6 +262,41 @@ class TestAdaptive:
             rcc(ps, eps=0.0)
         with pytest.raises(ValidationError):
             rcc(ps, eps=0.5, rho=np.inf)
+
+
+class TestSharedRuns:
+    """Constructions on one point set share its clustering runs."""
+
+    # (construction, its arguments) on one set; z = 1 and z = 2 share the set
+    CALLS = [
+        (rcc_fixed_size, dict(k=6, z=2)), (rcc, dict(eps=0.3, z=2)),
+        (sensitivity_sample, dict(m=12, seed=3)), (rcc_fixed_size, dict(k=4, z=1)),
+        (rcc, dict(eps=0.5, z=1)), (sensitivity_sample, dict(m=8, k=3, seed=1)),
+        (rcc_fixed_size, dict(k=5, z=1, certify=False)), (rcc_fixed_size, dict(k=3, z=2)),
+    ]
+
+    @pytest.mark.parametrize("order", [
+        range(8), range(7, -1, -1), [5, 2, 7, 0, 4, 1, 6, 3],
+    ], ids=["forward", "backward", "shuffled"])
+    def test_interleaved_calls_match_fresh_sets(self, order):
+        ps = clustered_set(17, spread=0.001)
+        for i in order:
+            build, kwargs = self.CALLS[i]
+            assert_same_coreset(build(ps, **kwargs), build(fresh_copy(ps), **kwargs))
+
+    def test_point_set_freed_without_the_cycle_collector(self):
+        # the runs a set keeps do not refer back to it, so dropping the last
+        # reference frees the set and its runs at once
+        ps = spread_set(19)
+        alive = weakref.ref(ps)
+        gc.disable()
+        try:
+            coreset = rcc_fixed_size(ps, 6, z=1)
+            del ps
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert coreset.size == 6
 
 
 class TestGuaranteeOnModels:

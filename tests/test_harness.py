@@ -12,6 +12,7 @@ import pytest
 from kcoreset import (
     Coreset,
     ValidationError,
+    WeightedPointSet,
     evaluate_coreset,
     make_problem,
     quantile_grid,
@@ -20,7 +21,7 @@ from kcoreset import (
     synthetic_blobs,
     synthetic_uniform,
 )
-from kcoreset import harness
+from kcoreset import clustering, harness
 from kcoreset.harness import construct_coreset
 
 
@@ -42,6 +43,11 @@ def tiny_config(runs=2, algorithms=None, problems=None, **extra):
     }
     config.update(extra)
     return config
+
+
+def fresh_copy(ps):
+    """The same data in a new point set, which shares no clustering run with ``ps``."""
+    return WeightedPointSet(ps.points.copy(), ps.weights.copy())
 
 
 def assert_failure_isolated(bad, good, sizes, error):
@@ -200,16 +206,33 @@ class TestRunBenchmark:
             assert first == second, name
 
     def test_seed_free_coreset_built_once_for_all_runs(self, monkeypatch):
-        builds = {"rcc_fixed": Counter(), "uniform": Counter()}
+        # every run builds its coreset again, but a seed-free construction's
+        # clustering is solved only by the first build of each (set, size)
+        # cell: the later ones read the runs that the set keeps
+        solves, building, uniform = {}, [], Counter()
 
-        def spy(kind, build):
-            def wrapped(pointset, size, **kwargs):
-                builds[kind][pointset.size, size] += 1
-                return build(pointset, size, **kwargs)
-            return wrapped
+        def counting_lloyd_problems(*args):
+            if building:
+                solves[building[-1]][-1] += 1
+            return lloyd_problems(*args)
 
-        monkeypatch.setattr(harness, "rcc_fixed_size", spy("rcc_fixed", rcc_fixed_size))
-        monkeypatch.setattr(harness, "uniform_sample", spy("uniform", harness.uniform_sample))
+        def spy_rcc_fixed(pointset, size, **kwargs):
+            cell = (pointset.size, size)
+            solves.setdefault(cell, []).append(0)
+            building.append(cell)
+            try:
+                return rcc_fixed_size(pointset, size, **kwargs)
+            finally:
+                building.pop()
+
+        def spy_uniform(pointset, size, **kwargs):
+            uniform[pointset.size, size] += 1
+            return uniform_sample(pointset, size, **kwargs)
+
+        lloyd_problems, uniform_sample = clustering._lloyd_problems, harness.uniform_sample
+        monkeypatch.setattr(clustering, "_lloyd_problems", counting_lloyd_problems)
+        monkeypatch.setattr(harness, "rcc_fixed_size", spy_rcc_fixed)
+        monkeypatch.setattr(harness, "uniform_sample", spy_uniform)
         config = tiny_config(
             runs=3, sizes=[8, 12],
             problems=[{"name": "meb"}, {"name": "kmedian", "k": 2},
@@ -222,14 +245,87 @@ class TestRunBenchmark:
         assert all(r.error is None for r in records)
         # the whole dataset (80 or 60 points) and the svm train part (64 or 48)
         cells = [(n, size) for n in (80, 64, 60, 48) for size in (8, 12)]
-        assert builds["rcc_fixed"] == Counter({cell: 1 for cell in cells})
-        assert builds["uniform"] == Counter({cell: 3 for cell in cells})
+        assert sorted(solves) == sorted(cells)
+        for cell in cells:
+            first, *later = solves[cell]
+            assert first > 0 and later == [0, 0], (cell, solves[cell])
+        assert uniform == Counter({cell: 3 for cell in cells})
         for dataset in ("blob", "small"):
             for problem in ("meb", "kmedian", "svm"):
                 runs = [r for r in records if (r.dataset, r.algorithm, r.problem, r.size)
                         == (dataset, "rcc-kmeans", problem, "8")]
                 assert [r.run for r in runs] == [0, 1, 2]
                 assert len({(r.value, r.relative_error) for r in runs}) == 1
+
+    def test_one_recursion_per_set_serves_every_cell(self, monkeypatch):
+        # rcc_fixed, sensitivity and the full-data kmeans model on one
+        # dataset, and both constructions on its svm train part: each set's
+        # engine calls are those of one recursion for all of its cells
+        entry = {"name": "blob", "synthetic": {"kind": "blobs", "n": 90, "features": 4,
+                                               "labels": 3, "seed": 4}}
+        svm = {"name": "svm", "positive_label": "class0"}
+        config = tiny_config(
+            runs=1, sizes=[8, 16], datasets=[entry],
+            algorithms=[{"kind": "rcc_fixed", "z": 2}, {"kind": "sensitivity"}],
+            problems=[{"name": "kmeans", "k": 3}, svm],
+        )
+        lloyd_problems = clustering._lloyd_problems
+        calls, phase = Counter(), ["expected"]
+
+        def counting_lloyd_problems(*args):
+            calls[phase[-1]] += 1
+            return lloyd_problems(*args)
+
+        monkeypatch.setattr(clustering, "_lloyd_problems", counting_lloyd_problems)
+        full = harness._load_config_dataset(entry)
+        train, _ = harness._svm_train_test(full, make_problem("svm", positive_label="class0"), svm)
+        for ps, ks in ((full, (3,)), (train, ())):
+            recursion = clustering._Recursion([fresh_copy(ps)], 2)
+            recursion.doubled(8)
+            recursion.doubled(16)
+            for k in ks:
+                recursion.run(k)
+        expected = calls.pop("expected")
+
+        # from here every engine call counts as one on the dataset or its
+        # train part, except sensitivity's own and the solves on coresets
+        phase[0] = "data"
+        data_sets, splits = [], []
+
+        def in_phase(name, fn):
+            def wrapped(*args, **kwargs):
+                phase.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase.pop()
+            return wrapped
+
+        def spy_construct(algorithm, pointset, size, seed):
+            data_sets.append(pointset)
+            return construct(algorithm, pointset, size, seed)
+
+        def spy_solve(problem, pointset, seed=0):
+            on_data = any(pointset is ps for ps in data_sets)
+            return in_phase("data" if on_data else "coreset", solve)(problem, pointset, seed=seed)
+
+        def spy_split(*args):
+            splits.append(args)
+            return svm_train_test(*args)
+
+        construct, solve = harness.construct_coreset, harness.solve_problem
+        svm_train_test = harness._svm_train_test
+        monkeypatch.setattr(harness, "construct_coreset", spy_construct)
+        monkeypatch.setattr(harness, "solve_problem", spy_solve)
+        monkeypatch.setattr(harness, "sensitivity_sample",
+                            in_phase("sensitivity", harness.sensitivity_sample))
+        monkeypatch.setattr(harness, "_svm_train_test", spy_split)
+        records, _ = run_benchmark(config)
+        assert all(r.error is None for r in records)
+        assert calls["data"] == expected > 0
+        assert calls["sensitivity"] == 0
+        assert calls["coreset"] > 0  # kmeans on each coreset, a set of its own
+        assert len(splits) == 1
 
     def test_failures_isolated_per_cell(self):
         assert_failure_isolated(
