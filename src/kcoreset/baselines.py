@@ -63,8 +63,7 @@ def sensitivity_sample(
         k = max(1, min(pointset.size, m // 2))
     k = min(k, pointset.size)
     bundle = k_clustering(pointset, k, z=2)
-    d = np.linalg.norm(pointset.points - bundle.centers[bundle.assignment], axis=1)
-    contrib = pointset.weights * d**2
+    contrib = pointset.weights * bundle.distances**2
     total = contrib.sum()
     cell_weight = np.bincount(bundle.assignment, weights=pointset.weights, minlength=bundle.k)
     if total > 0:

@@ -25,7 +25,8 @@ A problem stops on its own, and its rows drop out.  A single problem is
 the plain k-center run.  The Weiszfeld solver is also the only 1-median
 code: ``weighted_geometric_median`` is its one-segment call, and
 ``brute_force_optimal`` solves all subsets in one call; both solve to
-tolerance.
+tolerance.  A run keeps each row's distance to its center, as its last
+pass gathered it, so no caller measures it again.
 
 Initialization is recursive and draws no randomness: a 2m-center run
 starts from the union of per-cluster 2-center solutions of an m-center run,
@@ -327,13 +328,15 @@ def one_median(pointset: WeightedPointSet, tol: float = DEFAULT_MEDIAN_TOL) -> t
 class ClusteringResult:
     """Output of a k-clustering run.
 
-    ``assignment[p]`` is the row of ``centers`` point p belongs to;
-    ``cost_history`` holds the cost after initialization and after each
-    recenter pass, and is non-increasing.
+    ``assignment[p]`` is the row of ``centers`` point p belongs to and
+    ``distances[p]`` its distance to that center, read off the distance
+    pass that made the assignment; ``cost_history`` holds the cost after
+    initialization and after each recenter pass, and is non-increasing.
     """
 
     centers: np.ndarray
     assignment: np.ndarray
+    distances: np.ndarray
     cost: float
     z: int
     iterations: int
@@ -349,38 +352,40 @@ class ClusteringResult:
 
 
 def _cost_and_assignment(points, weights, centers, sizes, z, filled=None):
-    """Per-problem costs and nearest-center assignment from one distance array.
+    """Per-problem costs, nearest-center assignment and its distances from one distance array.
 
     The rows are consecutive problems: problem p is the next sizes[p] rows,
     with its own centers[p] (``centers`` has shape (problems, c, dim)).  One
     cdist per problem measures its rows against its own centers only, so a
     row's assignment indexes them.  Each problem's block is reduced once:
     its argmin is the assignment (ties go to the lowest index), and the
-    distances at it, gathered from the block, give the cost.  Where
-    ``filled[p, i]`` is False, center i of problem p first restarts in place
-    at that problem's currently most expensive row, unless that would raise
-    the problem's cost; only a block whose centers moved takes its argmin
-    again.
+    distances at it, gathered from the block, give the cost and are
+    returned with it.  Where ``filled[p, i]`` is False, center i of problem
+    p first restarts in place at that problem's currently most expensive
+    row, unless that would raise the problem's cost; only a block whose
+    centers moved takes its argmin and gathers its distances again.
     """
     n, c = points.shape[0], centers.shape[1]
     dist = np.empty((n, c))
     assign = np.empty(n, dtype=np.intp)
+    near = np.empty(n)
     flat, row_base = dist.ravel(), np.arange(0, n * c, c)
     ends = np.cumsum(sizes)
     costs = []
     for p, (s, e) in enumerate(zip(ends - sizes, ends)):
-        block, block_assign = dist[s:e], assign[s:e]
+        block, block_assign, nearest = dist[s:e], assign[s:e], near[s:e]
         cdist(points[s:e], centers[p], out=block)
         np.argmin(block, axis=1, out=block_assign)
-        nearest = flat[row_base[s:e] + block_assign]
+        np.take(flat, row_base[s:e] + block_assign, out=nearest)
         cost = float(weights[s:e] @ nearest**z)
         if filled is not None and not filled[p].all():
             cost, moved = _restart(points[s:e], weights[s:e], block, nearest, cost, centers[p],
                                    np.flatnonzero(~filled[p]), z)
             if moved:
                 np.argmin(block, axis=1, out=block_assign)
+                np.take(flat, row_base[s:e] + block_assign, out=nearest)
         costs.append(cost)
-    return costs, assign
+    return costs, assign, near
 
 
 def _restart(points, weights, dist, nearest, cost, centers, empty, z):
@@ -441,7 +446,7 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
     scale = np.abs(points).max(axis=1) if z == 1 else None
     live = np.arange(n_problems)  # the input problem of each entry of ``centers``
     unchanged = np.zeros(n_problems, dtype=bool)  # the last pass kept the assignment
-    costs, assign = _cost_and_assignment(points, weights, centers, sizes, z)
+    costs, assign, near = _cost_and_assignment(points, weights, centers, sizes, z)
     histories = [[cost] for cost in costs]
     results = [None] * n_problems
     starts, offset = np.cumsum(sizes) - sizes, np.repeat(live * c, sizes)
@@ -460,7 +465,7 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
             init=flat[filled], max_steps=np.repeat(steps, c)[filled],
             scale=None if scale is None else scale[order],
         )
-        costs, new_assign = _cost_and_assignment(
+        costs, new_assign, near = _cost_and_assignment(
             points, weights, centers, sizes, z, filled.reshape(-1, c)
         )
         for p, cost in zip(live, costs):
@@ -472,9 +477,9 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
         if not done.any():
             continue
         for i in np.flatnonzero(done):
-            p = live[i]
+            p, rows = live[i], slice(starts[i], starts[i] + sizes[i])
             results[p] = ClusteringResult(
-                centers=centers[i], assignment=assign[starts[i] : starts[i] + sizes[i]],
+                centers=centers[i], assignment=assign[rows], distances=near[rows],
                 cost=costs[i], z=z, iterations=iterations, converged=bool(converged[i]),
                 cost_history=histories[p],
             )
@@ -492,9 +497,9 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
 
 def _trivial_result(points, weights, centers, z) -> ClusteringResult:
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    costs, assign = _cost_and_assignment(points, weights, centers[None], [points.shape[0]], z)
+    costs, assign, near = _cost_and_assignment(points, weights, centers[None], [points.shape[0]], z)
     return ClusteringResult(
-        centers=centers, assignment=assign, cost=costs[0], z=z,
+        centers=centers, assignment=assign, distances=near, cost=costs[0], z=z,
         iterations=0, converged=True, cost_history=costs,
     )
 
@@ -507,13 +512,13 @@ def _single_center(points, weights, z, tol=DEFAULT_MEDIAN_TOL) -> ClusteringResu
 def add_costliest_point(pointset: WeightedPointSet, run: ClusteringResult) -> ClusteringResult:
     """Lloyd iteration from ``run``'s centers plus its most expensive point.
 
-    The added point maximizes w_p * ||p - assigned center||^z.  When every
-    point already sits on its center, the result is the zero-cost run with
-    ``run.centers[0]`` duplicated and no iterations.
+    The added point maximizes w_p * ||p - assigned center||^z, read off
+    ``run.distances``.  When every point already sits on its center, the
+    result is the zero-cost run with ``run.centers[0]`` duplicated and no
+    iterations.
     """
     points, weights = pointset.points, pointset.weights
-    d = np.linalg.norm(points - run.centers[run.assignment], axis=1)
-    scores = weights * d**run.z
+    scores = weights * run.distances**run.z
     j = int(np.argmax(scores))
     if scores[j] <= 0:
         return _trivial_result(points, weights, np.vstack([run.centers, run.centers[0]]), run.z)
@@ -536,9 +541,9 @@ class _Recursion:
     and shared by every k solved through this object, so one recursion
     serves a k-center run, its 2k-center continuation, a whole search over
     k and a ladder of runs.  The runs it returns are shared, so their
-    centers, assignments and split costs are read-only.  An odd k takes the
-    2*(k//2) split centers plus the costliest point against them, argmax
-    w_p * min_q ||p - q||^z, the first one on ties.
+    centers, assignments, distances and split costs are read-only.  An odd
+    k takes the 2*(k//2) split centers plus the costliest point against
+    them, argmax w_p * min_q ||p - q||^z, the first one on ties.
 
     It keeps each set's points and weights, never the set itself, so a
     set that holds its recursion forms no reference cycle with it.
@@ -590,7 +595,8 @@ class _Recursion:
             for s, run in zip(todo, solved):
                 runs[s] = run
         for run in runs:
-            run.centers.flags.writeable = run.assignment.flags.writeable = False
+            for shared in (run.centers, run.assignment, run.distances):
+                shared.flags.writeable = False
         self._runs[k] = runs
         return runs
 
@@ -646,8 +652,7 @@ def _split_init(sets, bases) -> list:
     order = np.argsort(assignment, kind="stable")
     points = np.vstack([points for points, _ in sets])[order]
     weights = np.concatenate([weights for _, weights in sets])[order]
-    gaps = points - centers[assignment[order]]
-    scores = weights * np.linalg.norm(gaps, axis=1) ** z
+    scores = weights * np.concatenate([base.distances for base in bases])[order] ** z
     counts = np.bincount(assignment, minlength=n_clusters)
     init, split_costs = np.repeat(centers, 2, axis=0), np.zeros(n_clusters)
     # each cluster's costliest point, the first one on ties
@@ -688,7 +693,8 @@ def k_clustering(pointset: WeightedPointSet, k: int, z: int = 2) -> ClusteringRe
         cost, and the cost trace of the run.  The result is shared: the
         run is kept with ``pointset`` and every later call on the same set
         that needs it, through any function of this package, returns the
-        same object.  Its ``centers`` and ``assignment`` are read-only.
+        same object.  Its ``centers``, ``assignment`` and ``distances`` are
+        read-only.
     """
     return _recursion_of(pointset, z).run(k)[0]
 

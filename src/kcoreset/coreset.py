@@ -145,11 +145,6 @@ def load_coreset(path: str) -> Coreset:
     return Coreset(points, weights, provenance, eps_bound, certificate)
 
 
-def _max_center_dist(pointset: WeightedPointSet, result: ClusteringResult) -> float:
-    gaps = pointset.points - result.centers[result.assignment]
-    return float(np.linalg.norm(gaps, axis=1).max())
-
-
 def certify_eps(pointset: WeightedPointSet, run: DoubledRun, rho: float = 1.0) -> EpsCertificate:
     """Certify the coreset error of the centers of ``run.base``.
 
@@ -164,7 +159,7 @@ def certify_eps(pointset: WeightedPointSet, run: DoubledRun, rho: float = 1.0) -
     base = run.base
     gap = max(run.gap, 0.0)
     w_min = pointset.w_min
-    maxdist = _max_center_dist(pointset, base)
+    maxdist = float(base.distances.max())
     return EpsCertificate(
         eps_gap=rho * (gap / w_min) ** (1.0 / base.z),
         eps_maxdist=rho * maxdist,

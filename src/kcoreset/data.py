@@ -56,9 +56,10 @@ class WeightedPointSet:
 
     A set keeps the clustering runs made on it, one recursion per cost
     exponent z, for as long as it lives (see ``clustering._recursion_of``):
-    every later clustering of the same set reads them.  So neither its
-    points nor its weights may be written after it is built; derive a new
-    set instead.
+    every later clustering of the same set reads them.  So the set takes
+    its own read-only copy of the points and weights it is built from:
+    writing into the caller's arrays afterwards leaves the set unchanged,
+    and writing into the set's raises ValueError; derive a new set instead.
     """
 
     points: np.ndarray
@@ -68,8 +69,8 @@ class WeightedPointSet:
     _recursions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        points = np.array(self.points, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if points.ndim != 2:
             raise ValidationError(f"points must be 2-d, got shape {points.shape}")
         if points.shape[0] == 0:
@@ -82,6 +83,7 @@ class WeightedPointSet:
             raise ValidationError("points contain non-finite values")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
             raise ValidationError("weights must be finite and strictly positive")
+        points.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 

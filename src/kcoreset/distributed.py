@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .baselines import _collapse
-from .clustering import _Recursion, add_costliest_point, assign_to_centers
+from .clustering import _Recursion, _trivial_result, add_costliest_point
 from .coreset import Coreset
 from .data import WeightedPointSet
 from .errors import ValidationError
@@ -246,10 +246,9 @@ def node_sample(
     the samples drawn from that cell, which makes the node's contribution
     conserve its shard's weight exactly (residuals can be negative).
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    assign = assign_to_centers(shard.points, centers)
-    d = np.linalg.norm(shard.points - centers[assign], axis=1)
-    m_p = shard.weights * d**z
+    run = _trivial_result(shard.points, shard.weights, centers, z)
+    centers, assign = run.centers, run.assignment
+    m_p = shard.weights * run.distances**z
     local_cost = float(m_p.sum())
     cell_weight = np.bincount(assign, weights=shard.weights, minlength=centers.shape[0])
 

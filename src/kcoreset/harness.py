@@ -106,13 +106,15 @@ def evaluate_coreset(
     weights (distributed residuals) are clamped for the solver but kept
     as-is when reading the coreset's own cost estimate.  Returns a dict with
     the headline metric, the relative estimation error, and bookkeeping
-    flags.
+    flags.  A cost of 0 against a reference cost of 0 is exact (normalized
+    cost 1, relative error 0); any other cost over 0 scores inf.
     """
     usable, clamped = coreset.nonnegative_pointset()
     model = solve_problem(problem, usable, seed=seed)
     cost_full = problem_cost(problem, pointset, model)
     cost_core = problem_cost(problem, coreset, model)
-    rel_error = abs(cost_full - cost_core) / cost_full if cost_full > 0 else math.inf
+    gap = abs(cost_full - cost_core)
+    rel_error = gap / cost_full if cost_full > 0 else (math.inf if gap else 0.0)
 
     if problem.name == "svm":
         value = svm_accuracy(pointset if held_out is None else held_out, model)
@@ -121,7 +123,7 @@ def evaluate_coreset(
         if full_model is None or full_cost is None:
             full_model = solve_problem(problem, pointset, seed=seed)
             full_cost = problem_cost(problem, pointset, full_model)
-        value = cost_full / full_cost if full_cost > 0 else math.inf
+        value = cost_full / full_cost if full_cost > 0 else (math.inf if cost_full else 1.0)
         metric = "normalized_cost"
     return {
         "metric": metric,
@@ -388,6 +390,14 @@ def _svm_train_test(pointset, problem, entry):
     return split_train_test(relabeled, entry.get("train_fraction", 0.8))
 
 
+def _stat(fn, values) -> float | None:
+    """``fn(values)`` as a float; None where there are no values or it is not finite."""
+    if not len(values):
+        return None
+    value = float(fn(values))
+    return value if math.isfinite(value) else None
+
+
 def _summarize(records: list) -> dict:
     cells: dict = {}
     for r in records:
@@ -403,13 +413,12 @@ def _summarize(records: list) -> dict:
             "runs": len(group),
             "failed": len(group) - len(good),
             "metric": good[0].metric if good else "error",
-            "mean": float(values.mean()) if values.size else None,
-            "std": float(values.std()) if values.size else None,
-            "median": float(np.median(values)) if values.size else None,
-            "mean_relative_error": float(rels.mean()) if rels.size else None,
-            "max_relative_error": float(rels.max()) if rels.size else None,
-            "mean_coreset_points": float(np.mean([r.coreset_points for r in good]))
-            if good else None,
+            "mean": _stat(np.mean, values),
+            "std": _stat(np.std, values),
+            "median": _stat(np.median, values),
+            "mean_relative_error": _stat(np.mean, rels),
+            "max_relative_error": _stat(np.max, rels),
+            "mean_coreset_points": _stat(np.mean, [r.coreset_points for r in good]),
         }
     return summary
 
@@ -422,7 +431,7 @@ def _write_outputs(records: list, summary: dict, out_dir: str) -> None:
         for r in records:
             writer.writerow(r.to_row())
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     with open(os.path.join(out_dir, "cdf.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

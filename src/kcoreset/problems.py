@@ -51,33 +51,21 @@ class MebModel:
     center: np.ndarray
     radius: float
 
-    def to_dict(self):
-        return {"center": self.center.tolist(), "radius": float(self.radius)}
-
 
 @dataclass
 class CentersModel:
     centers: np.ndarray
-
-    def to_dict(self):
-        return {"centers": self.centers.tolist()}
 
 
 @dataclass
 class PcaModel:
     frame: np.ndarray  # (d, l), orthonormal columns
 
-    def to_dict(self):
-        return {"frame": self.frame.tolist()}
-
 
 @dataclass
 class SvmModel:
     coef: np.ndarray
     offset: float
-
-    def to_dict(self):
-        return {"coef": self.coef.tolist(), "offset": float(self.offset)}
 
 
 def lipschitz_rho(name: str, delta: float | None = None, l: int | None = None) -> float:

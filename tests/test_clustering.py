@@ -58,6 +58,7 @@ def fresh_copy(ps):
 def assert_same_run(a, b):
     assert np.array_equal(a.centers, b.centers)
     assert np.array_equal(a.assignment, b.assignment)
+    assert np.array_equal(a.distances, b.distances)
     assert (a.cost, a.z, a.iterations, a.converged) == (b.cost, b.z, b.iterations, b.converged)
     assert a.cost_history == b.cost_history
 
@@ -394,6 +395,7 @@ class TestDoubledRun:
                     center = base.centers[i : i + 1]
                     one = ClusteringResult(
                         centers=center, assignment=np.zeros(idx.size, dtype=np.intp),
+                        distances=cdist(part.points, center)[:, 0],
                         cost=clustering_cost(part, center, z), z=z,
                         iterations=0, converged=True,
                     )
@@ -455,12 +457,30 @@ class TestSharedRuns:
         with pytest.raises(ValueError):
             run.assignment[0] = 1
         with pytest.raises(ValueError):
+            run.distances[0] = 1.0
+        with pytest.raises(ValueError):
             k_clustering_doubled(ps, 2).split_costs[0] = 0.0
         # the points themselves cost 0 at k = |P|, and are a copy of them
         everything = k_clustering(ps, ps.size)
         with pytest.raises(ValueError):
             everything.centers[0, 0] = 1.0
-        assert ps.points.flags.writeable
+        assert not np.shares_memory(everything.centers, ps.points)
+
+    def test_a_set_keeps_its_own_read_only_arrays(self):
+        points, weights = random_instance(66, n_range=(50, 50))
+        original = points.copy(), weights.copy()
+        ps = WeightedPointSet(points, weights)
+        run = k_clustering(ps, 3)
+        points += 10.0
+        weights *= 2.0
+        assert np.array_equal(ps.points, original[0])
+        assert np.array_equal(ps.weights, original[1])
+        assert k_clustering(ps, 3) is run
+        assert_same_run(run, k_clustering(WeightedPointSet(*original), 3))
+        with pytest.raises(ValueError):
+            ps.points[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ps.weights[0] = 1.0
 
     def test_patched_constant_reaches_only_sets_built_after_it(self, monkeypatch):
         ps = as_set(*random_instance(64, n_range=(60, 60)))
@@ -469,6 +489,37 @@ class TestSharedRuns:
         monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", 1)
         assert k_clustering(ps, 4, z=1) is before
         assert k_clustering(fresh_copy(ps), 4, z=1).iterations == 1
+
+
+def assert_distances_at_assignment(points, run):
+    """``run.distances`` is, bit for bit, cdist to its centers read at its assignment."""
+    expected = cdist(points, run.centers)[np.arange(points.shape[0]), run.assignment]
+    assert np.array_equal(run.distances, expected)
+
+
+class TestDistances:
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_every_kind_of_run_keeps_its_distances(self, z):
+        ps = as_set(synthetic_uniform(60, 3, 0.0, 1.0, seed=5).points)
+        # k = 1, even and odd k, and k = |P|
+        for k in (1, 4, 5, ps.size):
+            assert_distances_at_assignment(ps.points, k_clustering(ps, k, z))
+        # a multi-set rung: one Lloyd call for the larger sets, the points
+        # themselves for the set smaller than k
+        sets = [ps, synthetic_blobs(40, 2, 3, seed=1), as_set(np.eye(3))]
+        for k in (1, 5):
+            for pointset, run in zip(sets, clustering._Recursion(sets, z).run(k)):
+                assert_distances_at_assignment(pointset.points, run)
+        # add_costliest_point: a Lloyd run from the costliest point, and the
+        # zero-cost run when every point sits on its center
+        grown = add_costliest_point(ps, k_clustering(ps, 3, z))
+        assert grown.k == 4 and grown.iterations > 0
+        assert_distances_at_assignment(ps.points, grown)
+        twins = as_set([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        flat = add_costliest_point(twins, k_clustering(twins, 2, z))
+        assert flat.k == 3 and flat.iterations == 0
+        assert_distances_at_assignment(twins.points, flat)
+        assert not flat.distances.any()
 
 
 class TestLloydProblems:
@@ -690,17 +741,20 @@ def one_dim_case(blocks, centers, filled):
 @example(case=one_dim_case([[7, 8], [0, 0, 0, 10]], [[7, 7], [5, 0]],
                            [[True, True], [True, False]]))
 def test_one_reduction_matches_min_then_argmin(z, case):
-    # the cost and assignment read off one argmin per block are, bit for bit,
-    # a fresh min and argmin over the distances to the returned centers
+    # the cost, assignment and distances read off one argmin per block are,
+    # bit for bit, a fresh min, argmin and gather over the distances to the
+    # returned centers
     points, weights, centers, sizes, filled = case
     moved = centers.copy()
-    costs, assign = clustering._cost_and_assignment(points, weights, moved, sizes, z, filled)
+    costs, assign, near = clustering._cost_and_assignment(points, weights, moved, sizes, z,
+                                                          filled)
     assert assign.dtype == np.intp
     ends = np.cumsum(sizes)
     for p, (s, e) in enumerate(zip(ends - sizes, ends)):
         dist = cdist(points[s:e], moved[p])
         assert costs[p] == float(weights[s:e] @ dist.min(axis=1) ** z)
         assert np.array_equal(assign[s:e], dist.argmin(axis=1))
+        assert np.array_equal(near[s:e], dist[np.arange(e - s), assign[s:e]])
         # only an empty center moves, and only onto a row of its own problem
         for i in np.flatnonzero((moved[p] != centers[p]).any(axis=1)):
             assert not filled[p, i]

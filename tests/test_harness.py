@@ -1,6 +1,7 @@
 """Tests for the evaluation harness and the benchmark runner."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -43,6 +44,15 @@ def tiny_config(runs=2, algorithms=None, problems=None, **extra):
     }
     config.update(extra)
     return config
+
+
+def load_strict_json(path):
+    """JSON as a strict parser reads it: Infinity and NaN are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
 
 
 def fresh_copy(ps):
@@ -105,6 +115,16 @@ class TestEvaluateCoreset:
             ps, coreset, problem, seed=0, full_model=model, full_cost=full_cost
         )
         assert out["value"] == pytest.approx(out["cost_full"] / full_cost)
+
+    def test_zero_cost_over_zero_is_exact_and_positive_cost_over_zero_is_inf(self):
+        ps = WeightedPointSet(np.full((30, 2), 0.5), np.ones(30))
+        problem = make_problem("meb")
+        on = evaluate_coreset(ps, Coreset(ps.points[:1], [30.0], {}), problem)
+        assert (on["cost_full"], on["value"], on["relative_error"]) == (0.0, 1.0, 0.0)
+        off = evaluate_coreset(ps, Coreset([[1.5, 0.5]], [30.0], {}), problem,
+                               full_cost=0.0)
+        assert off["cost_full"] > 0
+        assert off["value"] == math.inf
 
     def test_svm_accuracy_scored_on_held_out_set(self):
         from kcoreset import solve_problem, split_train_test, svm_accuracy, with_svm_labels
@@ -204,6 +224,34 @@ class TestRunBenchmark:
             with open(os.path.join(b, name)) as fh:
                 second = fh.read()
             assert first == second, name
+
+    def test_identical_points_score_as_exact(self, tmp_path):
+        # every model costs 0 on identical points, so no coreset loses anything
+        path = tmp_path / "same.csv"
+        path.write_text("x,y\n" + "0.5,0.25\n" * 30)
+        config = tiny_config(
+            runs=1,
+            algorithms=[{"name": "uniform", "kind": "uniform"},
+                        {"name": "sensitivity", "kind": "sensitivity"}],
+            problems=[{"name": "meb"}, {"name": "kmeans", "k": 2}, {"name": "kmedian", "k": 2}],
+        )
+        config["datasets"] = [{"name": "same", "path": str(path), "normalize": False}]
+        out = str(tmp_path / "results")
+        records, _ = run_benchmark(config, out_dir=out)
+        assert len(records) == 6
+        assert all((r.error, r.value, r.relative_error) == (None, 1.0, 0.0) for r in records)
+        cell = load_strict_json(os.path.join(out, "summary.json"))["same"]["uniform"]["kmeans"]["8"]
+        assert (cell["mean"], cell["std"], cell["max_relative_error"]) == (1.0, 0.0, 0.0)
+
+    def test_non_finite_summary_statistics_are_written_as_null(self, tmp_path):
+        records, _ = run_benchmark(tiny_config())
+        records[0] = dataclasses.replace(records[0], value=math.inf)
+        harness._write_outputs(records, harness._summarize(records), str(tmp_path))
+        first = records[0]
+        summary = load_strict_json(tmp_path / "summary.json")
+        cell = summary[first.dataset][first.algorithm][first.problem][first.size]
+        assert cell["mean"] is cell["std"] is cell["median"] is None
+        assert cell["runs"] == 2 and cell["failed"] == 0
 
     def test_seed_free_coreset_built_once_for_all_runs(self, monkeypatch):
         # every run builds its coreset again, but a seed-free construction's

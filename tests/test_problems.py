@@ -262,10 +262,3 @@ class TestSolveDispatch:
         labeled = np.hstack([pts, [[1.0], [-1.0]]])
         model = solve_problem(make_problem("svm"), as_set(labeled))
         assert model.coef.shape == (2,)
-
-    def test_model_to_dict_round(self):
-        pts, w = random_instance(11, n_range=(10, 10))
-        ps = as_set(pts, w)
-        assert "radius" in solve_problem(make_problem("meb"), ps).to_dict()
-        assert "centers" in solve_problem(make_problem("kmeans", k=2), ps).to_dict()
-        assert "frame" in solve_problem(make_problem("pca", l=1), ps).to_dict()
