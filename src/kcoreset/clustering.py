@@ -10,9 +10,14 @@ into one distance array, and one argmin per problem block give its new
 assignment and, from the distances at it, its cost and the restart of
 empty centers.  The rows sorted by (problem, cluster) make every cluster
 one contiguous segment, so all clusters of all problems are recentered at
-once: z=2 by segmented weighted sums, z=1 by one Weiszfeld solver that
-advances every segment's iterate together, with the per-row scale of its
-vertex test measured once per Lloyd call.  While a z=1 problem's
+once.  The recenter reads the rows coordinate-major, a (dim, n) array that
+a Lloyd call builds once; each pass regroups it with one ``take`` in the
+order of a stable sort of the (problem, cluster) key, cast to the smallest
+unsigned type that holds it, so that up to 65,536 keys the sort is a
+radix sort.  The clusters are recentered z=2 by segmented weighted sums,
+z=1 by one Weiszfeld solver that advances every segment's iterate
+together, with the per-row scale of its vertex test measured once per
+Lloyd call.  While a z=1 problem's
 assignment still moves, its pass is capped: at most WEISZFELD_CAPPED_STEPS
 Weiszfeld steps per cluster from the previous center, which never raise
 the cost.  The pass after an unchanged assignment, and pass
@@ -108,45 +113,50 @@ def weighted_geometric_median(points: np.ndarray, weights: np.ndarray) -> np.nda
     This is the one-segment call of the solver that Lloyd iteration and
     :func:`brute_force_optimal` run on many clusters at once.
     """
-    points = np.asarray(points, dtype=float)
+    cols = np.asarray(points, dtype=float).T.copy()
     weights = np.asarray(weights, dtype=float)
-    return _segment_centers(points, weights, np.zeros(1, dtype=np.intp), 1)[0]
+    return _segment_centers(cols, weights, np.zeros(1, dtype=np.intp), 1)[0]
 
 
-def _segment_centers(points, weights, starts, z, tol=DEFAULT_MEDIAN_TOL, init=None,
+def _segment_centers(cols, weights, starts, z, tol=DEFAULT_MEDIAN_TOL, init=None,
                      max_steps=WEISZFELD_MAX_ITER, scale=None):
-    """1-centers of the contiguous row segments that begin at ``starts``.
+    """1-centers, one per row, of the contiguous row segments that begin at ``starts``.
 
-    Segment s is rows starts[s] up to starts[s+1] (the last one runs to the
-    end); every segment must be non-empty.  z=2 gives the weighted means;
-    z=1 gives Weiszfeld medians started from ``init`` or the means, after
-    at most ``max_steps`` steps (one count, or one per segment).  ``scale``
-    is each row's largest absolute coordinate, which sets how close an
-    iterate must come to a row to sit on it; a Lloyd call computes it once
-    for all its passes, any other caller leaves it to be computed here.
+    The rows are given coordinate-major: ``cols`` is (dim, n), row p its
+    column p.  Segment s is rows starts[s] up to starts[s+1] (the last one
+    runs to the end); every segment must be non-empty.  z=2 gives the
+    weighted means; z=1 gives Weiszfeld medians started from ``init`` or
+    the means, after at most ``max_steps`` steps (one count, or one per
+    segment).  ``scale`` is each row's largest absolute coordinate, which
+    sets how close an iterate must come to a row to sit on it; a Lloyd
+    call computes it once for all its passes, any other caller leaves it
+    to be computed here.
     """
     if z == 2:
-        return _segment_means(points, weights, starts)
+        return _segment_means(cols, weights, starts)
     if init is None:
-        init = _segment_means(points, weights, starts)
+        init = _segment_means(cols, weights, starts)
     if scale is None:
-        scale = np.abs(points).max(axis=1)
-    return _weiszfeld(points, weights, starts, init, tol, max_steps, scale)
+        scale = np.abs(cols).max(axis=0)
+    return _weiszfeld(cols, weights, starts, init, tol, max_steps, scale)
 
 
-def _segment_means(points, weights, starts):
-    sums = np.add.reduceat(points * weights[:, None], starts, axis=0)
-    return sums / np.add.reduceat(weights, starts)[:, None]
+def _segment_means(cols, weights, starts):
+    """Weighted means of the segments of ``cols`` (dim, n), one per row."""
+    sums = np.add.reduceat(cols * weights, starts, axis=1)
+    return (sums / np.add.reduceat(weights, starts)).T
 
 
-def _weiszfeld(points, weights, starts, init, tol, max_steps, scale):
+def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
     """Weiszfeld iteration on every segment at once; see weighted_geometric_median.
 
     Each segment stops on its own tests, or returns its iterate right after
     its ``max_steps``-th update (at most WEISZFELD_MAX_ITER).  No step
     raises a segment's cost, so a capped segment is no worse than its
-    ``init``.  A finished segment's rows are dropped, so the segments still
-    iterating do not pay for it.  An iterate sits on a row within
+    ``init``.  ``cols`` is read, never copied, unless a one-row segment,
+    its own median, drops out; a finished segment's rows are dropped, so
+    the segments still iterating do not pay for it, and the solve ends
+    when the last segment finishes.  An iterate sits on a row within
     1e-14 * (1 + the segment's largest ``scale``), the rows' largest
     absolute coordinates.
 
@@ -165,18 +175,20 @@ def _weiszfeld(points, weights, starts, init, tol, max_steps, scale):
     the row nearest that Weiszfeld step: where the pull of the other rows
     is at most the row's weight (+ ``tol``), the segment stops on the row.
     """
-    sizes = np.diff(np.append(starts, points.shape[0]))
-    near_dist = 1e-14 * (1.0 + np.maximum.reduceat(scale, starts))
+    sizes = np.diff(np.append(starts, cols.shape[1]))
+    near_dist = np.repeat(1e-14 * (1.0 + np.maximum.reduceat(scale, starts)), sizes)
     out = np.array(init, dtype=float)
+    pts = cols
     # a one-point segment is its own median
     single = sizes == 1
-    out[single] = points[starts[single]]
+    if single.any():
+        out[single] = cols[:, starts[single]].T
+        rows = np.repeat(~single, sizes)
+        pts, weights, near_dist = cols.compress(rows, axis=1), weights[rows], near_dist[rows]
     live = np.flatnonzero(~single)  # row of ``out`` of each segment still iterating
+    if not live.size:
+        return out
     limit = np.minimum(np.broadcast_to(max_steps, sizes.shape)[live], WEISZFELD_MAX_ITER)
-    rows = np.repeat(~single, sizes)
-    # coordinates along rows, so each pass runs over long contiguous arrays
-    pts, weights = points[rows].T.copy(), weights[rows]
-    near_dist = np.repeat(near_dist, sizes)[rows]
     sizes, y = sizes[live], out[live].T
     starts = np.cumsum(sizes) - sizes
     # once Newton steps start: each segment's cost before the Newton step it
@@ -184,8 +196,6 @@ def _weiszfeld(points, weights, starts, init, tol, max_steps, scale):
     # the longest Newton step it may take next
     before = passed_up = reach = None
     for step in range(1, WEISZFELD_MAX_ITER + 1):
-        if not live.size:
-            break
         newton = step > WEISZFELD_PLAIN_STEPS
         diff = np.repeat(y, sizes, axis=1)
         np.subtract(pts, diff, out=diff)
@@ -248,8 +258,10 @@ def _weiszfeld(points, weights, starts, init, tol, max_steps, scale):
             out[live[stop]] = y[:, stop].T
             out[live[capped]] = y_new[:, capped].T
             keep = ~(stop | capped)
+            if not keep.any():
+                break
             rows = np.repeat(keep, sizes)
-            pts, weights, near_dist = pts[:, rows], weights[rows], near_dist[rows]
+            pts, weights, near_dist = pts.compress(rows, axis=1), weights[rows], near_dist[rows]
             sizes, live, limit, y_new = sizes[keep], live[keep], limit[keep], y_new[:, keep]
             starts = np.cumsum(sizes) - sizes
             if before is not None:
@@ -442,8 +454,10 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
     centers = np.array(init_centers, dtype=float)
     n_problems, c, dim = centers.shape
     sizes = np.diff(np.append(starts, points.shape[0]))
-    # Weiszfeld's per-row scale, taken once: the rows never change
-    scale = np.abs(points).max(axis=1) if z == 1 else None
+    # the rows coordinate-major, as the recenter reads them, and Weiszfeld's
+    # per-row scale, taken once: the rows never change
+    cols = points.T.copy()
+    scale = np.abs(cols).max(axis=0) if z == 1 else None
     live = np.arange(n_problems)  # the input problem of each entry of ``centers``
     unchanged = np.zeros(n_problems, dtype=bool)  # the last pass kept the assignment
     costs, assign, near = _cost_and_assignment(points, weights, centers, sizes, z)
@@ -453,17 +467,18 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
     for iterations in range(1, LLOYD_MAX_ITER + 1):
         exact = unchanged | (z == 2) | (iterations == LLOYD_MAX_ITER)
         # recenter every cluster at once: rows sorted by (problem, center)
-        # make each one segment
+        # make each one segment; the stable sort of a key of at most 16 bits
+        # is a radix sort
         key = assign + offset
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key.astype(np.min_scalar_type(live.size * c - 1)), kind="stable")
         counts = np.bincount(key, minlength=live.size * c)
         filled = counts > 0
         flat = centers.reshape(-1, dim)
         steps = np.where(exact, WEISZFELD_MAX_ITER, WEISZFELD_CAPPED_STEPS)
         flat[filled] = _segment_centers(
-            points[order], weights[order], (np.cumsum(counts) - counts)[filled], z,
-            init=flat[filled], max_steps=np.repeat(steps, c)[filled],
-            scale=None if scale is None else scale[order],
+            cols.take(order, axis=1), weights.take(order), (np.cumsum(counts) - counts)[filled],
+            z, init=flat[filled], max_steps=np.repeat(steps, c)[filled],
+            scale=None if scale is None else scale.take(order),
         )
         costs, new_assign, near = _cost_and_assignment(
             points, weights, centers, sizes, z, filled.reshape(-1, c)
@@ -488,6 +503,7 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
         keep = ~done
         rows = np.repeat(keep, sizes)
         points, weights, assign = points[rows], weights[rows], assign[rows]
+        cols = cols.compress(rows, axis=1)
         if scale is not None:
             scale = scale[rows]
         centers, sizes, live, unchanged = centers[keep], sizes[keep], live[keep], unchanged[keep]
@@ -505,7 +521,7 @@ def _trivial_result(points, weights, centers, z) -> ClusteringResult:
 
 
 def _single_center(points, weights, z, tol=DEFAULT_MEDIAN_TOL) -> ClusteringResult:
-    center = _segment_centers(points, weights, np.zeros(1, dtype=np.intp), z, tol)
+    center = _segment_centers(points.T.copy(), weights, np.zeros(1, dtype=np.intp), z, tol)
     return _trivial_result(points, weights, center, z)
 
 
@@ -579,7 +595,7 @@ class _Recursion:
             weights = np.concatenate([weights for _, weights in sets])
             starts = np.cumsum(sizes) - sizes
             if k == 1:
-                centers = _segment_centers(points, weights, starts, self.z)
+                centers = _segment_centers(points.T.copy(), weights, starts, self.z)
                 solved = [
                     _trivial_result(p, w, centers[i : i + 1], self.z)
                     for i, (p, w) in enumerate(sets)
@@ -649,9 +665,9 @@ def _split_init(sets, bases) -> list:
     n_clusters, z = int(ks.sum()), bases[0].z
     assignment = np.concatenate([base.assignment + off for base, off in zip(bases, offsets)])
     centers = np.vstack([base.centers for base in bases])
-    order = np.argsort(assignment, kind="stable")
-    points = np.vstack([points for points, _ in sets])[order]
-    weights = np.concatenate([weights for _, weights in sets])[order]
+    order = np.argsort(assignment.astype(np.min_scalar_type(n_clusters - 1)), kind="stable")
+    points = np.vstack([points for points, _ in sets]).take(order, axis=0)
+    weights = np.concatenate([weights for _, weights in sets]).take(order)
     scores = weights * np.concatenate([base.distances for base in bases])[order] ** z
     counts = np.bincount(assignment, minlength=n_clusters)
     init, split_costs = np.repeat(centers, 2, axis=0), np.zeros(n_clusters)
@@ -763,7 +779,7 @@ def brute_force_optimal(pointset: WeightedPointSet, k: int, z: int = 2) -> Brute
     sizes = member.sum(axis=1)
     starts = np.cumsum(sizes) - sizes
     points, weights = pointset.points[index], pointset.weights[index]
-    one_ctr = _segment_centers(points, weights, starts, z, BRUTE_FORCE_MEDIAN_TOL)
+    one_ctr = _segment_centers(points.T.copy(), weights, starts, z, BRUTE_FORCE_MEDIAN_TOL)
     dist = np.linalg.norm(points - one_ctr[subset], axis=1)
     one_cost = [0.0] + np.add.reduceat(weights * dist**z, starts).tolist()
 

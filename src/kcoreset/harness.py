@@ -18,11 +18,12 @@ kept separate so result files are bit-reproducible).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -106,11 +107,17 @@ def evaluate_coreset(
     weights (distributed residuals) are clamped for the solver but kept
     as-is when reading the coreset's own cost estimate.  Returns a dict with
     the headline metric, the relative estimation error, and bookkeeping
-    flags.  A cost of 0 against a reference cost of 0 is exact (normalized
-    cost 1, relative error 0); any other cost over 0 scores inf.
+    flags.  A k-center model trained on a coreset of fewer than k points
+    has one center per point.  A cost of 0 against a reference cost of 0
+    is exact (normalized cost 1, relative error 0); any other cost over 0
+    scores inf.
     """
     usable, clamped = coreset.nonnegative_pointset()
-    model = solve_problem(problem, usable, seed=seed)
+    fit = problem
+    if problem.params.get("k", 0) > usable.size:
+        # a coreset of fewer points than k: every point is a center
+        fit = replace(problem, params={**problem.params, "k": usable.size})
+    model = solve_problem(fit, usable, seed=seed)
     cost_full = problem_cost(problem, pointset, model)
     cost_core = problem_cost(problem, coreset, model)
     gap = abs(cost_full - cost_core)
@@ -442,10 +449,14 @@ def _write_outputs(records: list, summary: dict, out_dir: str) -> None:
         for r in records:
             if r.error is None and math.isfinite(r.value):
                 cells.setdefault((r.dataset, r.algorithm, r.problem, r.size), []).append(r.value)
+        # every cell shares the grid: its index and level columns are formatted once
+        grid = [f"{i},{level!r}," for i, level in enumerate(quantile_grid([])[0].tolist())]
         for key in sorted(cells):
-            levels, quantiles = quantile_grid(cells[key])
-            for i, (level, q) in enumerate(zip(levels, quantiles)):
-                writer.writerow(list(key) + [i, repr(float(level)), repr(float(q))])
+            row = io.StringIO()
+            csv.writer(row).writerow(key)
+            prefix = row.getvalue()[: -len("\r\n")] + ","
+            quantiles = quantile_grid(cells[key])[1].tolist()
+            fh.write("".join(f"{prefix}{level}{q!r}\r\n" for level, q in zip(grid, quantiles)))
     with open(os.path.join(out_dir, "timings.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "algorithm", "problem", "size", "run", "wall_time"])

@@ -544,13 +544,53 @@ class TestLloydProblems:
             assert np.array_equal(run.assignment, alone.assignment)
             assert run.cost_history == alone.cost_history
 
+    def test_radix_regroup_matches_each_problem_alone(self):
+        # 150 two-center problems make 300 (problem, center) keys, so each
+        # pass regroups the rows by a uint16 key; problems of different
+        # sizes finish on different passes and drop their rows
+        rng = np.random.default_rng(20)
+        sizes = rng.integers(3, 40, 150)
+        points = rng.uniform(size=(sizes.sum(), 3))
+        weights = rng.uniform(0.5, 2.0, sizes.sum())
+        starts = np.cumsum(sizes) - sizes
+        init = np.stack([points[[s, s + 1]] for s in starts])
+        assert np.min_scalar_type(init.shape[0] * 2 - 1) == np.uint16
+        runs = clustering._lloyd_problems(points, weights, starts, init, 1)
+        assert len({run.iterations for run in runs}) > 1
+        for run, s, size, centers in zip(runs, starts, sizes, init):
+            rows = slice(s, s + size)
+            alone = clustering._lloyd(points[rows], weights[rows], centers, 1)
+            assert np.array_equal(run.centers, alone.centers)
+            assert np.array_equal(run.assignment, alone.assignment)
+            assert np.array_equal(run.distances, alone.distances)
+            assert run.cost_history == alone.cost_history
+            assert (run.iterations, run.converged) == (alone.iterations, alone.converged)
+
+    def test_one_row_segments_return_their_row(self):
+        # one z=1 call mixes one-row segments, which are their own medians,
+        # with multi-row ones, each solved as in its own one-segment call
+        rng = np.random.default_rng(6)
+        sizes = np.array([1, 7, 1, 1, 12, 3, 1])
+        points = rng.normal(0.0, 10.0, size=(sizes.sum(), 4))
+        weights = rng.uniform(0.5, 2.0, sizes.sum())
+        starts = np.cumsum(sizes) - sizes
+        got = clustering._segment_centers(points.T.copy(), weights, starts, 1)
+        for center, s, size in zip(got, starts, sizes):
+            rows = slice(s, s + size)
+            alone = clustering._segment_centers(points[rows].T.copy(), weights[rows],
+                                                np.zeros(1, dtype=np.intp), 1)
+            assert np.array_equal(center, alone[0])
+            if size == 1:
+                assert np.array_equal(center, points[s])
+
     def test_capped_weiszfeld_returns_its_last_update(self):
         # segment 0 takes one plain Weiszfeld step, segment 1 three, from
         # the weighted means; no iterate lands on a data point
         rng = np.random.default_rng(3)
         points, weights = rng.uniform(size=(50, 3)), rng.uniform(0.5, 2.0, 50)
         starts = np.array([0, 20])
-        got = clustering._segment_centers(points, weights, starts, 1, max_steps=np.array([1, 3]))
+        got = clustering._segment_centers(points.T.copy(), weights, starts, 1,
+                                          max_steps=np.array([1, 3]))
         for s, (rows, steps) in enumerate(((slice(0, 20), 1), (slice(20, 50), 3))):
             pts, w = points[rows], weights[rows]
             y = w @ pts / w.sum()
@@ -654,10 +694,11 @@ class TestLongSolves:
         weights = np.concatenate([w for _, w in segments])
         sizes = np.array([len(p) for p, _ in segments])
         starts = np.cumsum(sizes) - sizes
-        init = clustering._segment_means(points, weights, starts)
+        init = clustering._segment_means(points.T.copy(), weights, starts)
         init[3], init[4] = points[starts[3]], points[starts[4]]
         steps = np.array([clustering.WEISZFELD_MAX_ITER] * 3 + [2, 2, clustering.WEISZFELD_MAX_ITER])
-        got = clustering._segment_centers(points, weights, starts, 1, init=init, max_steps=steps)
+        got = clustering._segment_centers(points.T.copy(), weights, starts, 1, init=init,
+                                          max_steps=steps)
         for s, row in enumerate((0, 0, 1, 0, 0)):
             assert np.array_equal(got[s], segments[s][0][row]), s
         assert np.linalg.norm(pull_at(flat, np.ones(98), got[5])) <= clustering.DEFAULT_MEDIAN_TOL
@@ -690,11 +731,11 @@ class TestLongSolves:
         weights = np.concatenate([w for _, w, _ in segments])
         sizes = np.array([len(p) for p, _, _ in segments])
         starts = np.cumsum(sizes) - sizes
-        init = clustering._segment_means(points, weights, starts)
+        init = clustering._segment_means(points.T.copy(), weights, starts)
         for s, (_, _, start) in enumerate(segments):
             if start is not None:
                 init[s] = start
-        got = clustering._segment_centers(points, weights, starts, 1, init=init.copy())
+        got = clustering._segment_centers(points.T.copy(), weights, starts, 1, init=init.copy())
         assert np.isfinite(got).all()
         costs = self.segment_costs(points, weights, starts, got)
         assert np.all(costs <= self.segment_costs(points, weights, starts, init))

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -242,6 +243,40 @@ class TestRunBenchmark:
         assert all((r.error, r.value, r.relative_error) == (None, 1.0, 0.0) for r in records)
         cell = load_strict_json(os.path.join(out, "summary.json"))["same"]["uniform"]["kmeans"]["8"]
         assert (cell["mean"], cell["std"], cell["max_relative_error"]) == (1.0, 0.0, 0.0)
+
+    def test_cdf_rows_are_csv_rows(self, tmp_path):
+        # cdf.csv is, byte for byte, one csv row per cell and grid level,
+        # also where a name must be quoted
+        records, _ = run_benchmark(tiny_config())
+        records = [dataclasses.replace(r, dataset='blob, "b"') for r in records]
+        harness._write_outputs(records, harness._summarize(records), str(tmp_path))
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["dataset", "algorithm", "problem", "size", "grid_index", "level", "value"])
+        cells = {}
+        for r in records:
+            cells.setdefault((r.dataset, r.algorithm, r.problem, r.size), []).append(r.value)
+        for key in sorted(cells):
+            levels, quantiles = quantile_grid(cells[key])
+            for i, (level, q) in enumerate(zip(levels, quantiles)):
+                writer.writerow([*key, i, repr(float(level)), repr(float(q))])
+        with open(tmp_path / "cdf.csv", newline="") as fh:
+            assert fh.readlines() == expected.getvalue().splitlines(keepends=True)
+
+    def test_coreset_smaller_than_k_scores_as_exact(self, tmp_path):
+        # rcc_fixed's 4-center coreset of identical points keeps one point,
+        # so the k = 2 models train one center, which is exact there
+        path = tmp_path / "same.csv"
+        path.write_text("x,y\n" + "0.5,0.25\n" * 30)
+        config = tiny_config(
+            runs=1, sizes=[4],
+            algorithms=[{"name": "rcc", "kind": "rcc_fixed", "z": 2}],
+            problems=[{"name": "kmeans", "k": 2}, {"name": "kmedian", "k": 2}],
+        )
+        config["datasets"] = [{"name": "same", "path": str(path), "normalize": False}]
+        records, _ = run_benchmark(config)
+        assert [r.coreset_points for r in records] == [1, 1]
+        assert all((r.error, r.value, r.relative_error) == (None, 1.0, 0.0) for r in records)
 
     def test_non_finite_summary_statistics_are_written_as_null(self, tmp_path):
         records, _ = run_benchmark(tiny_config())
