@@ -53,7 +53,8 @@ the reported costs satisfy, by construction,
   * cost(P, 2k centers) <= sum of the per-cluster 2-center costs,
   * cost(P, 2 centers) <= cost of {1-center of P, most expensive point},
 
-which is what the coreset size search and the error certificates rely on.
+which is what the adaptive coreset size search and its gap certificate
+rely on.
 """
 
 from __future__ import annotations
@@ -737,8 +738,8 @@ def k_clustering_doubled(pointset: WeightedPointSet, k: int, z: int = 2) -> Doub
 
     Both runs come from one recursion, so the 2k-center run is
     k_clustering(pointset, min(2*k, |P|), z) exactly, and the k-center run
-    and the per-cluster 2-center costs that the size search and the error
-    certificate need are exposed with it.  Both runs are shared and
+    and the per-cluster 2-center costs that the adaptive size search and
+    its gap certificate need are exposed with it.  Both runs are shared and
     read-only, as k_clustering's are.
     """
     return _recursion_of(pointset, z).doubled(k)[0]

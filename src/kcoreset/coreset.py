@@ -4,15 +4,22 @@ A coreset is a small weighted point set D standing in for a large one P:
 for every query model x, cost(D, x) should stay within a factor (1 +/- eps)
 of cost(P, x).  Using cluster centers weighted by their cluster's total
 weight achieves this for every cost function that is rho-Lipschitz in the
-point argument, and the achieved eps can be certified from the clustering
-run itself in two ways:
+point argument: moving point p to its center c_p changes its cost by at
+most rho * d_p, with d_p = ||p - c_p||.  With a per-point cost of at least
+1, cost(P, x) >= W, the total weight, so the achieved eps is certified
+from the clustering run itself in three ways:
 
+  * from the realized partition: eps_maxdist = rho * max_p d_p, valid for
+    every cost, summed over the points or their maximum (meb);
+  * from the same distances on average: eps_mean = rho * sum_p w_p d_p / W,
+    valid for every cost summed over the points, and usually about half of
+    eps_maxdist;
   * from the cost gap between the k-center and 2k-center runs:
-    eps = rho * (gap / w_min)^(1/z), valid for any data the same run could
-    have produced;
-  * from the realized partition: eps = rho * max distance between a point
-    and its assigned center, which is usually much smaller.
+    eps_gap = rho * (gap / w_min)^(1/z), valid for any data the same run
+    could have produced.  Only the adaptive construction, whose size search
+    makes the 2k-center runs anyway, reports it.
 
+The first two read only the k-center run's point-to-center distances.
 The adaptive construction grows k until the gap certificate meets a target.
 """
 
@@ -34,24 +41,27 @@ from .errors import ThresholdNotReachedError, ValidationError
 class EpsCertificate:
     """Certified coreset error for a rho-Lipschitz cost function.
 
-    eps_gap derives from the k-vs-2k cost gap; eps_maxdist from the realized
-    maximum point-to-center distance.  Both certify the same guarantee;
-    eps_maxdist is typically the tighter of the two.
+    eps_maxdist derives from the realized maximum point-to-center distance
+    and holds for summed and max costs alike; eps_mean from the
+    weight-averaged distance, and holds for summed costs only; eps_gap from
+    the k-vs-2k cost gap.  eps_gap and gap are None unless the certificate
+    was read from a k-center run together with its 2k-center continuation.
     """
 
-    eps_gap: float
+    eps_gap: float | None
     eps_maxdist: float
+    eps_mean: float
     rho: float
     z: int
     k: int
-    gap: float
+    gap: float | None
     max_center_dist: float
     w_min: float
 
     def absolute(self, total_weight: float, aggregation: str = "sum") -> float:
         """Additive error bound for cost functions without the >=1 floor."""
         if aggregation == "sum":
-            return self.eps_maxdist * total_weight
+            return self.eps_mean * total_weight
         if aggregation == "max":
             return self.eps_maxdist
         raise ValidationError(f"unknown aggregation {aggregation!r}")
@@ -141,28 +151,41 @@ def load_coreset(path: str) -> Coreset:
         provenance = meta.get("provenance", {})
         eps_bound = meta.get("eps_bound")
         if meta.get("certificate"):
-            certificate = EpsCertificate(**meta["certificate"])
+            try:
+                certificate = EpsCertificate(**meta["certificate"])
+            except TypeError as exc:  # missing or unknown fields, e.g. no eps_mean
+                raise ValidationError(
+                    f"{json_path!r} holds a certificate in another format: {exc}"
+                ) from None
     return Coreset(points, weights, provenance, eps_bound, certificate)
 
 
-def certify_eps(pointset: WeightedPointSet, run: DoubledRun, rho: float = 1.0) -> EpsCertificate:
-    """Certify the coreset error of the centers of ``run.base``.
+def certify_eps(
+    pointset: WeightedPointSet, run: ClusteringResult | DoubledRun, rho: float = 1.0
+) -> EpsCertificate:
+    """Certify the coreset error of the centers of a k-center run.
 
-    ``run`` carries the k-center run and its 2k-center continuation, as
-    ``k_clustering_doubled`` returns them; no clustering is run here.
+    ``run`` is the k-center run on ``pointset``, or a DoubledRun (as
+    ``k_clustering_doubled`` returns it) whose ``base`` is that run; no
+    clustering is run here.  eps_maxdist and eps_mean are read from the
+    run's point-to-center distances; eps_gap and gap need the 2k-center
+    run, so they are None unless ``run`` is a DoubledRun.
 
-    Both bounds scale linearly in rho, so a certificate computed at rho=1
+    Every bound scales linearly in rho, so a certificate computed at rho=1
     can be rescaled to any cost function's Lipschitz constant.
     """
     if rho <= 0 or not math.isfinite(rho):
         raise ValidationError("rho must be positive and finite")
-    base = run.base
-    gap = max(run.gap, 0.0)
     w_min = pointset.w_min
+    base, gap, eps_gap = run, None, None
+    if isinstance(run, DoubledRun):
+        base, gap = run.base, max(run.gap, 0.0)
+        eps_gap = rho * (gap / w_min) ** (1.0 / base.z)
     maxdist = float(base.distances.max())
     return EpsCertificate(
-        eps_gap=rho * (gap / w_min) ** (1.0 / base.z),
+        eps_gap=eps_gap,
         eps_maxdist=rho * maxdist,
+        eps_mean=rho * float(pointset.weights @ base.distances) / pointset.total_weight,
         rho=rho,
         z=base.z,
         k=base.k,
@@ -203,18 +226,17 @@ def rcc_fixed_size(
 
     The construction draws no randomness, so ``seed`` is ignored; the
     keyword stays only so that existing callers keep working.  The point
-    set's recursion makes the k-center run and, when ``certify`` is set,
-    its 2k-center continuation for the error certificate; the coreset's
-    eps_bound is then the realized max-distance bound (the tighter of the
-    two certified values).  Without it only the k-center run is computed.
-    Runs already made on the same set, by any earlier call, are reused.
+    set's recursion makes the k-center run, and nothing else: when
+    ``certify`` is set, the certificate is read from that run's
+    point-to-center distances, and the coreset's eps_bound is its
+    max-distance bound, which holds for summed and max costs alike (the
+    certificate's eps_mean is the tighter bound for summed costs).  Runs
+    already made on the same set, by any earlier call, are reused.
     """
-    recursion = _recursion_of(pointset, z)
-    coreset = coreset_from_run(
-        pointset, recursion.run(k)[0], provenance={"algorithm": "rcc_fixed", "rho": rho}
-    )
+    run = _recursion_of(pointset, z).run(k)[0]
+    coreset = coreset_from_run(pointset, run, provenance={"algorithm": "rcc_fixed", "rho": rho})
     if certify:
-        cert = certify_eps(pointset, recursion.doubled(k)[0], rho=rho)
+        cert = certify_eps(pointset, run, rho=rho)
         coreset.certificate = cert
         coreset.eps_bound = cert.eps_maxdist
     return coreset

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .baselines import _collapse
-from .clustering import _Recursion, _trivial_result, add_costliest_point
+from .clustering import ClusteringResult, _Recursion, add_costliest_point
 from .coreset import Coreset
 from .data import WeightedPointSet
 from .errors import ValidationError
@@ -231,7 +231,7 @@ def server_allocate(
 
 def node_sample(
     shard: WeightedPointSet,
-    centers: np.ndarray,
+    run: ClusteringResult,
     t_j: int,
     c_over_t: float,
     z: int = 1,
@@ -239,14 +239,16 @@ def node_sample(
 ) -> LocalCoreset:
     """Draw a node's sample points and compute residual center weights.
 
-    Each of the t_j draws picks point p with probability proportional to
-    m_p = w_p * dist(p, nearest center)^z and carries weight
+    ``run`` is a clustering run on ``shard``, such as a rung of its ladder.
+    Its assignment and point-to-center distances are read as they are, so
+    each point must be assigned to its nearest center, as in every run the
+    clustering engine returns.  Each of the t_j draws picks point p with probability
+    proportional to m_p = w_p * dist(p, its center)^z and carries weight
     (C/t) * w_p / m_p; duplicate draws are collapsed by weight summation.
     Every center then carries its cell's total weight minus the weight of
     the samples drawn from that cell, which makes the node's contribution
     conserve its shard's weight exactly (residuals can be negative).
     """
-    run = _trivial_result(shard.points, shard.weights, centers, z)
     centers, assign = run.centers, run.assignment
     m_p = shard.weights * run.distances**z
     local_cost = float(m_p.sum())
@@ -323,7 +325,7 @@ def drcc(
         run = ladders[j].runs[config.k_alloc[j] - 1]
         local = node_sample(
             shard,
-            run.centers,
+            run,
             config.t_alloc[j],
             config.c_over_t,
             z=z,

@@ -45,6 +45,10 @@ from .errors import ValidationError
 from .problems import MLProblem, make_problem, problem_cost, solve_problem, svm_accuracy
 
 CDF_GRID_POINTS = 200
+# A pca cost is a share of the data's second moment sum_p w_p ||p||^2, its
+# cost with no components.  Below this share it is the projection's rounding
+# noise (4e-32 of it on 30 identical points), and it scores as exactly 0.
+PCA_COST_FLOOR = 1e-12
 
 # the outcome fields of a cell's record, as a failed cell fills them
 _FAILED_FIELDS = {
@@ -108,9 +112,10 @@ def evaluate_coreset(
     as-is when reading the coreset's own cost estimate.  Returns a dict with
     the headline metric, the relative estimation error, and bookkeeping
     flags.  A k-center model trained on a coreset of fewer than k points
-    has one center per point.  A cost of 0 against a reference cost of 0
-    is exact (normalized cost 1, relative error 0); any other cost over 0
-    scores inf.
+    has one center per point.  A pca cost below PCA_COST_FLOOR times the
+    data's second moment counts as 0.  A cost of 0 against a reference cost
+    of 0 is exact (normalized cost 1, relative error 0); any other cost over
+    0 scores inf.
     """
     usable, clamped = coreset.nonnegative_pointset()
     fit = problem
@@ -118,8 +123,15 @@ def evaluate_coreset(
         # a coreset of fewer points than k: every point is a center
         fit = replace(problem, params={**problem.params, "k": usable.size})
     model = solve_problem(fit, usable, seed=seed)
-    cost_full = problem_cost(problem, pointset, model)
-    cost_core = problem_cost(problem, coreset, model)
+    floor = 0.0
+    if problem.name == "pca":
+        floor = PCA_COST_FLOOR * float(pointset.weights @ (pointset.points**2).sum(axis=1))
+
+    def denoised(cost):
+        return 0.0 if abs(cost) < floor else cost
+
+    cost_full = denoised(problem_cost(problem, pointset, model))
+    cost_core = denoised(problem_cost(problem, coreset, model))
     gap = abs(cost_full - cost_core)
     rel_error = gap / cost_full if cost_full > 0 else (math.inf if gap else 0.0)
 
@@ -130,6 +142,7 @@ def evaluate_coreset(
         if full_model is None or full_cost is None:
             full_model = solve_problem(problem, pointset, seed=seed)
             full_cost = problem_cost(problem, pointset, full_model)
+        full_cost = denoised(full_cost)
         value = cost_full / full_cost if full_cost > 0 else (math.inf if cost_full else 1.0)
         metric = "normalized_cost"
     return {

@@ -271,9 +271,8 @@ def protocol_estimate(shards, ladders, model, config, run_seed):
     estimate = 0.0
     conserved = True
     for j, (shard, ladder) in enumerate(zip(shards, ladders)):
-        centers = ladder.runs[config.k_alloc[j] - 1].centers
         local = node_sample(
-            shard, centers, config.t_alloc[j], config.c_over_t,
+            shard, ladder.runs[config.k_alloc[j] - 1], config.t_alloc[j], config.c_over_t,
             z=1, seed=run_seed * 131 + j,
         )
         conserved &= (

@@ -1,11 +1,15 @@
 """Tests for coreset construction, error certification, and persistence."""
 
+import dataclasses
 import gc
+import json
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from kcoreset import (
@@ -75,7 +79,20 @@ class TestCertify:
         dists = cdist(ps.points, run.base.centers).min(axis=1)
         assert cert.max_center_dist == pytest.approx(dists.max())
         assert cert.eps_maxdist == pytest.approx(1.5 * dists.max())
+        assert cert.eps_mean == pytest.approx(1.5 * (ps.weights @ dists) / ps.total_weight)
         assert cert.k == 4 and cert.z == 2
+
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_run_alone_certifies_all_but_the_gap(self, z):
+        # the k-center run carries everything but the 2k-center comparison
+        ps = spread_set(3)
+        doubled = k_clustering_doubled(ps, 5, z=z)
+        alone = certify_eps(ps, k_clustering(ps, 5, z=z), rho=2.5)
+        assert alone.eps_gap is None and alone.gap is None
+        assert alone == dataclasses.replace(
+            certify_eps(ps, doubled, rho=2.5), eps_gap=None, gap=None
+        )
+        assert alone.eps_mean <= alone.eps_maxdist
 
     def test_scales_linearly_in_rho(self):
         ps = spread_set(2)
@@ -84,6 +101,7 @@ class TestCertify:
         five = certify_eps(ps, run, rho=5.0)
         assert five.eps_gap == pytest.approx(5.0 * one.eps_gap)
         assert five.eps_maxdist == pytest.approx(5.0 * one.eps_maxdist)
+        assert five.eps_mean == pytest.approx(5.0 * one.eps_mean)
 
     @pytest.mark.parametrize("z", [1, 2])
     @pytest.mark.parametrize("seed", range(8))
@@ -105,10 +123,10 @@ class TestCertify:
 
     def test_absolute_conversions(self):
         cert = EpsCertificate(
-            eps_gap=0.4, eps_maxdist=0.1, rho=2.0, z=2, k=3,
+            eps_gap=0.4, eps_maxdist=0.1, eps_mean=0.04, rho=2.0, z=2, k=3,
             gap=1.0, max_center_dist=0.05, w_min=1.0,
         )
-        assert cert.absolute(50.0, "sum") == pytest.approx(5.0)
+        assert cert.absolute(50.0, "sum") == pytest.approx(2.0)
         assert cert.absolute(50.0, "max") == pytest.approx(0.1)
         with pytest.raises(ValidationError):
             cert.absolute(50.0, "median")
@@ -162,6 +180,18 @@ class TestFixedSize:
         plain = rcc_fixed_size(ps, 5, z=1, certify=False)
         assert np.array_equal(plain.points, certified.points)
         assert np.array_equal(plain.weights, certified.weights)
+
+    def test_certificate_runs_no_doubled_clustering(self, monkeypatch):
+        ps = spread_set(7)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate reads the k-center run alone")
+
+        monkeypatch.setattr("kcoreset.clustering._Recursion.doubled", refuse)
+        coreset = rcc_fixed_size(ps, 5, z=1)
+        run = k_clustering(ps, 5, z=1)
+        assert coreset.eps_bound == coreset.certificate.eps_maxdist == run.distances.max()
+        assert coreset.certificate.eps_gap is None and coreset.certificate.gap is None
 
     def test_rho_scales_bound(self):
         ps = spread_set(8)
@@ -254,7 +284,9 @@ class TestAdaptive:
         fixed = rcc_fixed_size(fresh_copy(ps), adaptive.certificate.k, z=z, rho=2.0)
         assert np.array_equal(adaptive.points, fixed.points)
         assert np.array_equal(adaptive.weights, fixed.weights)
-        assert adaptive.certificate == fixed.certificate
+        # only the adaptive search makes the 2k-center run that eps_gap needs
+        assert fixed.certificate.eps_gap is None and adaptive.certificate.eps_gap is not None
+        assert dataclasses.replace(adaptive.certificate, eps_gap=None, gap=None) == fixed.certificate
 
     def test_invalid_inputs(self):
         ps = spread_set(16, n=10)
@@ -329,7 +361,59 @@ class TestGuaranteeOnModels:
             assert (1 - eps) * mp - 1e-9 <= ms <= (1 + eps) * mp + 1e-9
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    dim=st.integers(1, 4),
+    distinct=st.integers(1, 60),
+    scale=st.floats(1e-3, 1e3),
+    z=st.sampled_from([1, 2]),
+    rho=st.floats(0.1, 10.0),
+    k_share=st.floats(0.0, 1.0),
+)
+def test_eps_mean_bounds_every_lipschitz_sum_cost(seed, n, dim, distinct, scale, z, rho, k_share):
+    # per-point costs rho * (distance to the nearest anchor, or to a
+    # hyperplane) + 1 are rho-Lipschitz with floor 1; summed over the points,
+    # the coreset's relative error never exceeds eps_mean
+    rng = np.random.default_rng(seed)
+    pool = scale * rng.standard_normal((min(distinct, n), dim))
+    ps = as_set(pool[rng.integers(0, pool.shape[0], n)], rng.uniform(0.1, 5.0, n))
+    k = 1 + int(k_share * (n - 1))
+    coreset = rcc_fixed_size(ps, k, z=z, rho=rho)
+    eps = coreset.certificate.eps_mean
+    assert eps <= coreset.certificate.eps_maxdist * (1 + 1e-12)
+    for _ in range(8):
+        anchors = scale * rng.standard_normal((int(rng.integers(1, 4)), dim))
+        normal = rng.standard_normal(dim)
+        normal /= np.linalg.norm(normal)
+        offset = scale * rng.standard_normal()
+        for cost in (
+            lambda pts: rho * cdist(pts, anchors).min(axis=1) + 1.0,
+            lambda pts: rho * np.abs(pts @ normal - offset) + 1.0,
+        ):
+            full = float(ps.weights @ cost(ps.points))
+            core = float(coreset.weights @ cost(coreset.points))
+            # the last term covers rounding in the two sums where eps_mean is 0
+            assert abs(core - full) <= eps * full * (1 + 1e-9) + 1e-12 * full
+
+
 class TestPersistence:
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["rcc_fixed_size", "rcc"])
+    def test_certificate_round_trip(self, tmp_path, adaptive):
+        # eps_gap and gap are JSON null where no 2k-center run was made
+        ps = clustered_set(17, spread=0.001)
+        coreset = rcc(ps, eps=0.3, z=2) if adaptive else rcc_fixed_size(ps, 6, z=2)
+        prefix = str(tmp_path / "core")
+        _, json_path = coreset.save(prefix)
+        with open(json_path) as fh:
+            saved = json.load(fh)["certificate"]
+        assert (saved["eps_gap"] is None, saved["gap"] is None) == (not adaptive, not adaptive)
+        back = load_coreset(prefix).certificate
+        assert back == coreset.certificate
+        assert back.eps_mean == coreset.certificate.eps_mean
+        assert isinstance(back.eps_gap, float) == adaptive
+
     def test_round_trip_exact(self, tmp_path):
         ps = spread_set(18)
         coreset = rcc_fixed_size(ps, 7, z=1, rho=2.0)
@@ -341,6 +425,19 @@ class TestPersistence:
         assert back.eps_bound == coreset.eps_bound
         assert back.certificate == coreset.certificate
         assert back.provenance["algorithm"] == "rcc_fixed"
+
+    def test_certificate_without_eps_mean_rejected(self, tmp_path):
+        # a certificate saved before eps_mean existed cannot be completed
+        # without the data, so loading it fails with the file's name
+        prefix = str(tmp_path / "old")
+        _, json_path = rcc_fixed_size(spread_set(20, n=20), 3).save(prefix)
+        with open(json_path) as fh:
+            meta = json.load(fh)
+        del meta["certificate"]["eps_mean"]
+        with open(json_path, "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(ValidationError, match="old.json"):
+            load_coreset(prefix)
 
     def test_load_accepts_csv_suffix(self, tmp_path):
         ps = spread_set(19, n=20)

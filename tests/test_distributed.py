@@ -21,6 +21,7 @@ from kcoreset import (
     server_allocate,
     synthetic_uniform,
 )
+from kcoreset.clustering import _trivial_result
 
 
 def random_set(seed, n=60, d=3):
@@ -28,6 +29,11 @@ def random_set(seed, n=60, d=3):
     return WeightedPointSet(
         rng.uniform(0.0, 1.0, size=(n, d)), rng.uniform(0.5, 2.0, n)
     )
+
+
+def centers_run(shard, centers, z):
+    """The run that assigns every shard point to its nearest center."""
+    return _trivial_result(shard.points, shard.weights, centers, z)
 
 
 def make_shards(seed, n_points=150, nodes=3):
@@ -219,15 +225,30 @@ class TestServerAllocate:
 
 
 class TestNodeSample:
+    @pytest.mark.parametrize("z", [1, 2])
+    def test_ladder_runs_hold_the_nearest_center_assignment(self, z):
+        # node_sample reads a ladder run's assignment and distances as they
+        # are: bit for bit those of a fresh nearest-center pass
+        shards, _ = make_shards(21, n_points=300, nodes=3)
+        for shard, ladder in zip(shards, node_local_centers(shards, 6, z=z)):
+            for run in ladder.runs:
+                fresh = centers_run(shard, run.centers, z)
+                assert np.array_equal(run.assignment, fresh.assignment)
+                assert np.array_equal(run.distances, fresh.distances)
+
     def test_conserves_shard_weight(self):
         shard = random_set(7)
         centers = shard.points[:3]
-        local = node_sample(shard, centers, t_j=12, c_over_t=0.8, z=1, seed=2)
+        local = node_sample(
+            shard, centers_run(shard, centers, 1), t_j=12, c_over_t=0.8, z=1, seed=2
+        )
         assert local.total_weight == pytest.approx(shard.total_weight, rel=1e-12)
 
     def test_sample_points_come_from_the_shard(self):
         shard = random_set(8)
-        local = node_sample(shard, shard.points[:2], t_j=9, c_over_t=1.0, z=2, seed=0)
+        local = node_sample(
+            shard, centers_run(shard, shard.points[:2], 2), t_j=9, c_over_t=1.0, z=2, seed=0
+        )
         for p in local.sample_points:
             assert any((p == q).all() for q in shard.points)
         assert len(np.unique(local.sample_points, axis=0)) == len(local.sample_points)
@@ -235,7 +256,9 @@ class TestNodeSample:
     def test_zero_draws_leave_full_cell_weights(self):
         shard = random_set(9)
         centers = shard.points[:2]
-        local = node_sample(shard, centers, t_j=0, c_over_t=0.0, z=1, seed=0)
+        local = node_sample(
+            shard, centers_run(shard, centers, 1), t_j=0, c_over_t=0.0, z=1, seed=0
+        )
         assert local.sample_points.shape == (0, shard.dim)
         assign = cdist(shard.points, centers).argmin(axis=1)
         for i in range(2):
@@ -246,7 +269,9 @@ class TestNodeSample:
     def test_residuals_can_go_negative_but_totals_hold(self):
         # a huge weight normalizer drains far more than the cells hold
         shard = random_set(10, n=10)
-        local = node_sample(shard, shard.points[:1], t_j=8, c_over_t=50.0, z=1, seed=1)
+        local = node_sample(
+            shard, centers_run(shard, shard.points[:1], 1), t_j=8, c_over_t=50.0, z=1, seed=1
+        )
         assert local.center_weights.min() < 0
         assert local.total_weight == pytest.approx(shard.total_weight, rel=1e-12)
 
@@ -257,7 +282,9 @@ class TestNodeSample:
         shard = WeightedPointSet(pts, np.ones(3))
         counts = np.zeros(3)
         for s in range(300):
-            local = node_sample(shard, pts[:1], t_j=1, c_over_t=1.0, z=1, seed=s)
+            local = node_sample(
+                shard, centers_run(shard, pts[:1], 1), t_j=1, c_over_t=1.0, z=1, seed=s
+            )
             if local.sample_points.shape[0]:
                 row = np.flatnonzero((pts == local.sample_points[0]).all(axis=1))[0]
                 counts[row] += 1
@@ -370,7 +397,7 @@ class TestDrcc:
             for j, shard in enumerate(shards):
                 run = ladders[j].runs[config.k_alloc[j] - 1]
                 local = node_sample(
-                    shard, run.centers, config.t_alloc[j], config.c_over_t,
+                    shard, run, config.t_alloc[j], config.c_over_t,
                     z=1, seed=1000 + 7 * r + j,
                 )
                 pts = np.vstack([local.sample_points, local.center_points])

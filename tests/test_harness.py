@@ -244,6 +244,23 @@ class TestRunBenchmark:
         cell = load_strict_json(os.path.join(out, "summary.json"))["same"]["uniform"]["kmeans"]["8"]
         assert (cell["mean"], cell["std"], cell["max_relative_error"]) == (1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_pca_on_identical_points_scores_as_exact(self, tmp_path, l):
+        # the pca cost of identical points is rounding noise, not a cost
+        path = tmp_path / "same.csv"
+        path.write_text("x,y\n" + "0.5,0.25\n" * 30)
+        config = tiny_config(
+            runs=1,
+            algorithms=[{"name": "uniform", "kind": "uniform"},
+                        {"name": "rcc", "kind": "rcc_fixed", "z": 2},
+                        {"name": "farthest", "kind": "farthest"}],
+            problems=[{"name": "pca", "l": l}],
+        )
+        config["datasets"] = [{"name": "same", "path": str(path), "normalize": False}]
+        records, _ = run_benchmark(config)
+        assert len(records) == 3
+        assert all((r.error, r.value, r.relative_error) == (None, 1.0, 0.0) for r in records)
+
     def test_cdf_rows_are_csv_rows(self, tmp_path):
         # cdf.csv is, byte for byte, one csv row per cell and grid level,
         # also where a name must be quoted
@@ -364,8 +381,8 @@ class TestRunBenchmark:
         train, _ = harness._svm_train_test(full, make_problem("svm", positive_label="class0"), svm)
         for ps, ks in ((full, (3,)), (train, ())):
             recursion = clustering._Recursion([fresh_copy(ps)], 2)
-            recursion.doubled(8)
-            recursion.doubled(16)
+            recursion.run(8)
+            recursion.run(16)
             for k in ks:
                 recursion.run(k)
         expected = calls.pop("expected")
