@@ -27,7 +27,7 @@ from .data import (
     partition_dataset,
     with_svm_labels,
 )
-from .distributed import drcc
+from .distributed import DEFAULT_CENTERS, DEFAULT_Z, drcc
 from .errors import KcoresetError, ValidationError
 from .harness import construct_coreset, evaluate_coreset, run_benchmark
 from .problems import PROBLEM_NAMES, make_problem
@@ -130,10 +130,10 @@ def construct(dataset, algo, size, eps, rho, z, k, seed, out, weight_column,
 @click.option("--budget", "-N", "budget", type=int, required=True,
               help="Total point budget shared by all nodes.")
 @click.option("--k", "-K", "--ladder", "centers", type=int, default=None,
-              help="Per-node center count: the most drcc may pick, the exact "
-                   "count for cdcc [default: 5 for drcc, 2 for cdcc].")
+              help="Per-node center count: the most drcc may pick, the exact count for "
+                   "cdcc [default: {drcc} for drcc, {cdcc} for cdcc].".format_map(DEFAULT_CENTERS))
 @click.option("--z", type=click.IntRange(1, 2), default=None,
-              help="Cost exponent [default: 1 for drcc, 2 for cdcc].")
+              help="Cost exponent [default: {drcc} for drcc, {cdcc} for cdcc].".format_map(DEFAULT_Z))
 @click.option("--scheme", type=click.Choice(("uniform", "specialized", "hybrid")),
               default="uniform", show_default=True,
               help="How the dataset is spread over nodes.")
@@ -153,9 +153,9 @@ def distributed(dataset, algo, nodes, budget, centers, z, scheme, n0, seed, out,
     spec = ShardSpec(scheme=scheme, n=nodes, n0=n0, seed=seed)
     shards = partition_dataset(pointset, spec)
     if centers is None:
-        centers = 5 if algo == "drcc" else 2
+        centers = DEFAULT_CENTERS[algo]
     if z is None:
-        z = 1 if algo == "drcc" else 2
+        z = DEFAULT_Z[algo]
     coreset, trace = drcc(shards, budget, K=centers, z=z, seed=seed,
                           k_fixed=centers if algo == "cdcc" else None)
     coreset.save(out)
@@ -185,14 +185,13 @@ def distributed(dataset, algo, nodes, budget, centers, z, scheme, n0, seed, out,
               help="Subspace dimension (pca).")
 @click.option("--positive-label", default=None,
               help="Class treated as +1 (svm).")
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, callback=_check_out_dir,
               help="Write the JSON report here instead of stdout.")
 @click.option("--weight-column", default="weight", show_default=True)
 @click.option("--label-column", default=None)
 @click.option("--normalize/--no-normalize", default=True, show_default=True)
 @_handle_errors
-def evaluate(dataset, coreset, problem, k, l, positive_label, seed, out,
+def evaluate(dataset, coreset, problem, k, l, positive_label, out,
              weight_column, label_column, normalize):
     """Train on a saved CORESET, report its quality against DATASET."""
     pointset = _load(dataset, weight_column, label_column, normalize)
@@ -202,7 +201,7 @@ def evaluate(dataset, coreset, problem, k, l, positive_label, seed, out,
         pointset = with_svm_labels(pointset, positive_label)
     spec = make_problem(problem, k=k, l=l, positive_label=positive_label)
     loaded = load_coreset(coreset)
-    report = evaluate_coreset(pointset, loaded, spec, seed=seed)
+    report = evaluate_coreset(pointset, loaded, spec)
     report = {"problem": problem, "dataset_points": pointset.size, **report}
     if out:
         with open(out, "w") as fh:

@@ -175,6 +175,8 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
     its next Newton step is at most half as long, and Kuhn's test runs at
     the row nearest that Weiszfeld step: where the pull of the other rows
     is at most the row's weight (+ ``tol``), the segment stops on the row.
+    Both tests scale ``tol`` by the segment's weight where it is below 1,
+    so scaling a light segment's weights does not move its median.
     """
     sizes = np.diff(np.append(starts, cols.shape[1]))
     near_dist = np.repeat(1e-14 * (1.0 + np.maximum.reduceat(scale, starts)), sizes)
@@ -192,6 +194,7 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
     limit = np.minimum(np.broadcast_to(max_steps, sizes.shape)[live], WEISZFELD_MAX_ITER)
     sizes, y = sizes[live], out[live].T
     starts = np.cumsum(sizes) - sizes
+    tol = tol * np.minimum(1.0, np.add.reduceat(weights, starts))
     # once Newton steps start: each segment's cost before the Newton step it
     # took (inf where it took none), the Weiszfeld step it passed up, and
     # the longest Newton step it may take next
@@ -221,7 +224,7 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
             first = first[np.r_[True, seg[first[1:]] != seg[first[:-1]]]]
             hit = seg[first]
             w_here = np.add.reduceat(np.where(near, weights, 0.0), starts)[hit]
-            pinned = pull[hit] <= w_here + tol
+            pinned = pull[hit] <= w_here + tol[hit]
             stop[hit] = pinned
             y[:, hit[pinned]] = pts[:, first[pinned]]
             inv_sum[hit[pinned]] = np.inf  # no step, also where no point pulls
@@ -238,7 +241,7 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
             reach[back] /= 4.0  # half the rejected step's length
             if back.size:
                 vertex, pinned = _nearest_row_test(
-                    pts, weights, near_dist, sizes, back, y_new[:, back], tol
+                    pts, weights, near_dist, sizes, back, y_new[:, back], tol[back]
                 )
                 stop[back] = pinned
                 y[:, back[pinned]] = vertex[:, pinned]
@@ -263,7 +266,8 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
                 break
             rows = np.repeat(keep, sizes)
             pts, weights, near_dist = pts.compress(rows, axis=1), weights[rows], near_dist[rows]
-            sizes, live, limit, y_new = sizes[keep], live[keep], limit[keep], y_new[:, keep]
+            sizes, live, limit, tol = sizes[keep], live[keep], limit[keep], tol[keep]
+            y_new = y_new[:, keep]
             starts = np.cumsum(sizes) - sizes
             if before is not None:
                 before, passed_up, reach = before[keep], passed_up[:, keep], reach[keep]
@@ -305,7 +309,7 @@ def _nearest_row_test(pts, weights, near_dist, sizes, segs, y, tol):
     Column i of ``y`` is a point of segment segs[i].  Returns each of these
     segments' row nearest its point (the first one on ties) and whether it
     is optimal: the pull of the segment's other rows there is at most the
-    weight of the rows on it, + ``tol``.
+    weight of the rows on it, + tol[i].
     """
     rows = np.repeat(np.isin(np.arange(sizes.size), segs), sizes)
     pts, weights, near_dist, sizes = pts[:, rows], weights[rows], near_dist[rows], sizes[segs]

@@ -220,25 +220,22 @@ def rcc_fixed_size(
     z: int = 2,
     seed: int = 0,
     rho: float = 1.0,
-    certify: bool = True,
 ) -> Coreset:
     """Robust coreset of exactly k cluster centers.
 
     The construction draws no randomness, so ``seed`` is ignored; the
     keyword stays only so that existing callers keep working.  The point
-    set's recursion makes the k-center run, and nothing else: when
-    ``certify`` is set, the certificate is read from that run's
-    point-to-center distances, and the coreset's eps_bound is its
-    max-distance bound, which holds for summed and max costs alike (the
-    certificate's eps_mean is the tighter bound for summed costs).  Runs
-    already made on the same set, by any earlier call, are reused.
+    set's recursion makes the k-center run, and nothing else: the
+    certificate is read from that run's point-to-center distances, and the
+    coreset's eps_bound is its max-distance bound, which holds for summed
+    and max costs alike (the certificate's eps_mean is the tighter bound
+    for summed costs).  Runs already made on the same set, by any earlier
+    call, are reused.
     """
     run = _recursion_of(pointset, z).run(k)[0]
     coreset = coreset_from_run(pointset, run, provenance={"algorithm": "rcc_fixed", "rho": rho})
-    if certify:
-        cert = certify_eps(pointset, run, rho=rho)
-        coreset.certificate = cert
-        coreset.eps_bound = cert.eps_maxdist
+    coreset.certificate = certify_eps(pointset, run, rho=rho)
+    coreset.eps_bound = coreset.certificate.eps_maxdist
     return coreset
 
 

@@ -39,6 +39,10 @@ from .coreset import Coreset
 from .data import WeightedPointSet
 from .errors import ValidationError
 
+# per-node center count and cost exponent of a protocol named without them
+DEFAULT_CENTERS = {"drcc": 5, "cdcc": 2}
+DEFAULT_Z = {"drcc": 1, "cdcc": 2}
+
 
 @dataclass
 class LocalLadder:
@@ -279,7 +283,7 @@ def drcc(
     shards: list,
     N: int,
     K: int,
-    z: int = 1,
+    z: int = DEFAULT_Z["drcc"],
     seed: int = 0,
     k_fixed: int | None = None,
 ) -> tuple[Coreset, ProtocolTrace]:
@@ -359,7 +363,7 @@ def drcc(
     return coreset, trace
 
 
-def cdcc(shards: list, N: int, k: int, z: int = 2, seed: int = 0) -> Coreset:
+def cdcc(shards: list, N: int, k: int, z: int = DEFAULT_Z["cdcc"], seed: int = 0) -> Coreset:
     """Fixed-allocation distributed coreset: every node keeps k centers.
 
     This is :func:`drcc` with ``K=k, k_fixed=k``: the ladder stops at k and

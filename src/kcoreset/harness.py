@@ -12,7 +12,9 @@ Two metrics, both computed per (dataset, coreset, problem) triple:
 ``run_benchmark`` sweeps dataset x algorithm x size x problem cells for R
 seeded runs each, serially and through ``evaluate_coreset`` alone, and
 writes runs.csv / summary.json / cdf.csv (plus wall times in timings.csv,
-kept separate so result files are bit-reproducible).
+kept separate so result files are bit-reproducible).  A run's seed reaches
+its construction only: evaluation draws no randomness, so a seed-free
+coreset scores the same under every seed.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .data import (
     synthetic_uniform,
     with_svm_labels,
 )
-from .distributed import drcc
+from .distributed import DEFAULT_CENTERS, DEFAULT_Z, drcc
 from .errors import ValidationError
 from .problems import MLProblem, make_problem, problem_cost, solve_problem, svm_accuracy
 
@@ -99,7 +101,6 @@ def evaluate_coreset(
     pointset: WeightedPointSet,
     coreset: Coreset,
     problem: MLProblem,
-    seed: int = 0,
     full_model=None,
     full_cost: float | None = None,
     held_out: WeightedPointSet | None = None,
@@ -122,7 +123,7 @@ def evaluate_coreset(
     if problem.params.get("k", 0) > usable.size:
         # a coreset of fewer points than k: every point is a center
         fit = replace(problem, params={**problem.params, "k": usable.size})
-    model = solve_problem(fit, usable, seed=seed)
+    model = solve_problem(fit, usable)
     floor = 0.0
     if problem.name == "pca":
         floor = PCA_COST_FLOOR * float(pointset.weights @ (pointset.points**2).sum(axis=1))
@@ -140,7 +141,7 @@ def evaluate_coreset(
         metric = "accuracy"
     else:
         if full_model is None or full_cost is None:
-            full_model = solve_problem(problem, pointset, seed=seed)
+            full_model = solve_problem(problem, pointset)
             full_cost = problem_cost(problem, pointset, full_model)
         full_cost = denoised(full_cost)
         value = cost_full / full_cost if full_cost > 0 else (math.inf if cost_full else 1.0)
@@ -236,10 +237,11 @@ def construct_coreset(
     ``seed``.  Distributed kinds re-partition the dataset with a seed
     derived from ``seed``, so every run sees a fresh random distribution of
     the data over nodes.  Their per-node center count is read from ``K`` or
-    ``k`` (default 5 for drcc, 2 for cdcc).
+    ``k``; it and ``z`` default to the protocol's DEFAULT_CENTERS and
+    DEFAULT_Z.  Every other kind defaults to z = 2.
     """
     kind = _kind(algorithm)
-    z = int(algorithm.get("z", 1 if kind == "drcc" else 2))
+    z = int(algorithm.get("z", DEFAULT_Z.get(kind, 2)))
     rho = float(algorithm.get("rho", 1.0))
     if kind == "rcc":
         return rcc(pointset, eps=float(algorithm["eps"]), rho=rho, z=z)
@@ -258,7 +260,7 @@ def construct_coreset(
     if kind in ("drcc", "cdcc"):
         if "K" in algorithm and "k" in algorithm:
             raise ValidationError("'K' and 'k' name the same per-node center count; set one")
-        centers = int(algorithm.get("K", algorithm.get("k", 5 if kind == "drcc" else 2)))
+        centers = int(algorithm.get("K", algorithm.get("k", DEFAULT_CENTERS[kind])))
         rng = np.random.default_rng(seed)
         spec = ShardSpec(
             scheme=algorithm.get("scheme", "uniform"),
@@ -323,8 +325,7 @@ def run_benchmark(config: dict, out_dir: str | None = None):
 
     def full_solution(pointset, problem, di, pi):
         if (di, pi) not in full_cache:
-            solver_seed = _derived_seed(master_seed, (0xF0, di, pi))
-            model = solve_problem(problem, pointset, seed=solver_seed)
+            model = solve_problem(problem, pointset)
             full_cache[di, pi] = (model, problem_cost(problem, pointset, model))
         return full_cache[di, pi]
 
@@ -360,7 +361,6 @@ def run_benchmark(config: dict, out_dir: str | None = None):
                     full_model, full_cost = full_solution(pointset, problem, di, pi)
                 outcome = evaluate_coreset(
                     scored, coreset, problem,
-                    seed=_derived_seed(master_seed, (di, ai, si, run, pi)),
                     full_model=full_model, full_cost=full_cost, held_out=held_out,
                 )
                 fields = {name: outcome[name] for name in _FAILED_FIELDS}

@@ -1,7 +1,8 @@
 """Downstream machine-learning problems used to exercise coresets.
 
 Each problem defines a per-point cost aggregated over a weighted point set
-either as a weighted sum or a max, plus a solver.  The key quantity for
+either as a weighted sum or a max, plus a deterministic solver: none of
+them reads a seed (pca takes one eigendecomposition).  The key quantity for
 coreset guarantees is the Lipschitz constant rho of the per-point cost in
 the point argument: replacing a point by its cluster center changes the
 cost by at most rho times the distance moved.
@@ -32,8 +33,6 @@ from .errors import ValidationError
 
 PROBLEM_NAMES = ("meb", "kmeans", "kmedian", "pca", "svm")
 CLUSTER_Z = {"kmeans": 2, "kmedian": 1}  # distance exponent of each clustering cost
-PCA_TOL = 1e-8
-PCA_MAX_ITER = 10000
 SVM_LAM = 1e-4
 SVM_EPOCHS = 200
 
@@ -137,30 +136,19 @@ def meb_solve(pointset: WeightedPointSet, tol: float = 1e-3) -> MebModel:
     return MebModel(center=center, radius=radius)
 
 
-def pca_solve(pointset: WeightedPointSet, l: int, seed: int = 0) -> PcaModel:
+def pca_solve(pointset: WeightedPointSet, l: int) -> PcaModel:
     """Top-l subspace of the weighted second-moment matrix (no centering).
 
-    Subspace power iteration with QR re-orthonormalization, stopped when
-    the frame is invariant to relative residual PCA_TOL.
+    One symmetric eigendecomposition of the d x d matrix sum_p w_p p p^T;
+    the frame is its eigenvectors of the l largest eigenvalues, largest
+    first.  Exact up to rounding, and draws no randomness.
     """
     d = pointset.dim
     if not 1 <= l <= d:
         raise ValidationError(f"l must be in [1, {d}], got {l}")
     pts, w = pointset.points, pointset.weights
-    moment = (pts * w[:, None]).T @ pts
-    norm = np.linalg.norm(moment)
-    if norm == 0:
-        return PcaModel(frame=np.eye(d)[:, :l])
-    rng = np.random.default_rng(seed)
-    frame, _ = np.linalg.qr(rng.standard_normal((d, l)))
-    for _ in range(PCA_MAX_ITER):
-        product = moment @ frame
-        frame, _ = np.linalg.qr(product)
-        product = moment @ frame
-        residual = product - frame @ (frame.T @ product)
-        if np.linalg.norm(residual) <= PCA_TOL * norm:
-            break
-    return PcaModel(frame=frame)
+    _, vectors = np.linalg.eigh((pts * w[:, None]).T @ pts)  # ascending eigenvalues
+    return PcaModel(frame=vectors[:, ::-1][:, :l])
 
 
 def svm_train(pointset: WeightedPointSet) -> SvmModel:
@@ -220,15 +208,15 @@ def problem_cost(problem: MLProblem, data, model) -> float:
     raise ValidationError(f"unknown problem {problem.name!r}")
 
 
-def solve_problem(problem: MLProblem, pointset: WeightedPointSet, seed: int = 0):
-    """Train the problem's model on a weighted point set; only pca reads ``seed``."""
+def solve_problem(problem: MLProblem, pointset: WeightedPointSet):
+    """Train the problem's model on a weighted point set; every solver is deterministic."""
     if problem.name == "meb":
         return meb_solve(pointset)
     if problem.name in CLUSTER_Z:
         run = k_clustering(pointset, problem.params["k"], z=CLUSTER_Z[problem.name])
         return CentersModel(centers=run.centers)
     if problem.name == "pca":
-        return pca_solve(pointset, problem.params["l"], seed=seed)
+        return pca_solve(pointset, problem.params["l"])
     if problem.name == "svm":
         return svm_train(pointset)
     raise ValidationError(f"unknown problem {problem.name!r}")

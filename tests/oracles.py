@@ -3,9 +3,9 @@
 Everything here deliberately takes a different route than the library code:
 set-partition enumeration instead of the subset-mask dynamic program,
 derivative-free optimization instead of fixed-point iterations, a dual
-quadratic program instead of the primal ball iteration, and a dense
-eigendecomposition instead of subspace iteration.  Slow is fine; these only
-run on small instances.
+quadratic program instead of the primal ball iteration, and a sum of
+eigenvalues instead of the residuals of a projection onto eigenvectors.
+Slow is fine; these only run on small instances.
 """
 
 from __future__ import annotations

@@ -79,14 +79,13 @@ def test_01_certificate_dominates_realized_meb_error():
         for run in range(50):
             ps = synthetic_blobs(150, num_features=4, num_labels=3, seed=run)
             assert ps.dim == 5 and ps.size == 150
-            full_model = solve_problem(meb, ps, seed=0)
+            full_model = solve_problem(meb, ps)
             full_cost = problem_cost(meb, ps, full_model)
             for z in (1, 2):
                 coreset = rcc_fixed_size(ps, 20, z=z, rho=1.0)
                 bound = coreset.certificate.eps_maxdist
                 out = evaluate_coreset(
-                    ps, coreset, meb, seed=run,
-                    full_model=full_model, full_cost=full_cost,
+                    ps, coreset, meb, full_model=full_model, full_cost=full_cost,
                 )
                 assert out["relative_error"] <= bound + 1e-12, (z, run)
                 worst_margin = min(worst_margin, bound - out["relative_error"])
@@ -451,22 +450,22 @@ def test_10_quality_ordering_on_uniform_cube():
         }
         full = {}
         for name, problem in problems.items():
-            model = solve_problem(problem, ps, seed=0)
+            model = solve_problem(problem, ps)
             full[name] = problem_cost(problem, ps, model)
 
-        def score(coreset, problem_name, run):
+        def score(coreset, problem_name):
             problem = problems[problem_name]
-            trained = solve_problem(problem, coreset.to_pointset(), seed=run)
+            trained = solve_problem(problem, coreset.to_pointset())
             return problem_cost(problem, ps, trained) / full[problem_name]
 
         # the clustering coreset draws no randomness, so it is built and
         # scored once; the baselines are averaged over 100 seeded runs
-        coreset = rcc_fixed_size(ps, 8, z=2, certify=False)
-        mean = {("rcc", name): score(coreset, name, 0) for name in problems}
+        coreset = rcc_fixed_size(ps, 8, z=2)
+        mean = {("rcc", name): score(coreset, name) for name in problems}
         sums = {("uniform", "meb"): 0.0, ("farthest", "kmeans"): 0.0}
         for run in range(100):
-            sums[("uniform", "meb")] += score(uniform_sample(ps, 8, seed=run), "meb", run)
-            sums[("farthest", "kmeans")] += score(farthest_point(ps, 8, seed=run), "kmeans", run)
+            sums[("uniform", "meb")] += score(uniform_sample(ps, 8, seed=run), "meb")
+            sums[("farthest", "kmeans")] += score(farthest_point(ps, 8, seed=run), "kmeans")
         mean.update({key: value / 100.0 for key, value in sums.items()})
         assert mean[("rcc", "meb")] <= mean[("uniform", "meb")], mean
         assert mean[("rcc", "kmeans")] <= mean[("farthest", "kmeans")], mean

@@ -20,6 +20,8 @@ from kcoreset import (
     synthetic_uniform,
 )
 from kcoreset.cli import main
+from kcoreset.harness import evaluate_coreset
+from kcoreset.problems import make_problem
 
 
 @pytest.fixture
@@ -245,6 +247,31 @@ class TestEvaluate:
         report = json.loads(result.output)
         assert report["metric"] == "accuracy"
         assert 0.0 <= report["value"] <= 1.0
+
+    def test_pca_report_matches_the_library(self, runner, dataset_csv, tmp_path):
+        core = str(tmp_path / "core")
+        runner.invoke(main, ["construct", dataset_csv, "--size", "12", "--out", core])
+        result = runner.invoke(main, [
+            "evaluate", dataset_csv, core, "--problem", "pca", "--l", "2",
+        ])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        expected = evaluate_coreset(
+            normalize_features(load_dataset(dataset_csv)), load_coreset(core),
+            make_problem("pca", l=2),
+        )
+        assert report["metric"] == "normalized_cost"
+        assert report["value"] == expected["value"] >= 1.0 - 1e-9
+
+    def test_no_seed_option(self, runner, dataset_csv, tmp_path):
+        # evaluation draws no randomness, so there is no seed to set
+        core = str(tmp_path / "core")
+        runner.invoke(main, ["construct", dataset_csv, "--size", "12", "--out", core])
+        result = runner.invoke(main, [
+            "evaluate", dataset_csv, core, "--problem", "pca", "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
     def test_missing_coreset_file(self, runner, dataset_csv, tmp_path):
         result = runner.invoke(main, [

@@ -335,6 +335,20 @@ def test_every_cluster_center_is_its_one_center(z, data, k):
         assert abs(got - best) <= tol * (1.0 + best)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=clustered_sets(), exponent=st.floats(-12.0, 6.0))
+@example(data=(np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [0.0, 1.0]]), np.ones(4)),
+         exponent=-9.0)
+def test_one_median_cost_scales_with_the_weights(data, exponent):
+    # Weiszfeld's stopping tests scale with a light set's weight, so its
+    # median is where a heavy copy's is, not its starting mean
+    pts, w = data
+    scale = 10.0 ** exponent
+    cost = k_clustering(as_set(pts, w), 1, z=1).cost
+    scaled = k_clustering(as_set(pts, scale * w), 1, z=1).cost / scale
+    assert scaled == pytest.approx(cost, rel=1e-6)
+
+
 class TestDoubledRun:
     """Runs and their 2k-center continuations.
 

@@ -164,23 +164,6 @@ class TestFixedSize:
         assert coreset.eps_bound == pytest.approx(coreset.certificate.eps_maxdist)
         assert coreset.provenance["algorithm"] == "rcc_fixed"
 
-    def test_certify_false_skips_certificate(self):
-        ps = spread_set(7)
-        coreset = rcc_fixed_size(ps, 5, certify=False)
-        assert coreset.certificate is None and coreset.eps_bound is None
-
-    def test_certify_false_runs_no_doubled_clustering(self, monkeypatch):
-        ps = spread_set(7)
-        certified = rcc_fixed_size(ps, 5, z=1)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the 2k-center run is not needed without a certificate")
-
-        monkeypatch.setattr("kcoreset.clustering._Recursion.doubled", refuse)
-        plain = rcc_fixed_size(ps, 5, z=1, certify=False)
-        assert np.array_equal(plain.points, certified.points)
-        assert np.array_equal(plain.weights, certified.weights)
-
     def test_certificate_runs_no_doubled_clustering(self, monkeypatch):
         ps = spread_set(7)
 
@@ -304,7 +287,7 @@ class TestSharedRuns:
         (rcc_fixed_size, dict(k=6, z=2)), (rcc, dict(eps=0.3, z=2)),
         (sensitivity_sample, dict(m=12, seed=3)), (rcc_fixed_size, dict(k=4, z=1)),
         (rcc, dict(eps=0.5, z=1)), (sensitivity_sample, dict(m=8, k=3, seed=1)),
-        (rcc_fixed_size, dict(k=5, z=1, certify=False)), (rcc_fixed_size, dict(k=3, z=2)),
+        (rcc_fixed_size, dict(k=5, z=1)), (rcc_fixed_size, dict(k=3, z=2)),
     ]
 
     @pytest.mark.parametrize("order", [

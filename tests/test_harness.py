@@ -81,7 +81,7 @@ class TestEvaluateCoreset:
     def test_dataset_as_its_own_coreset_scores_perfectly(self):
         ps = synthetic_uniform(40, 3, 0.0, 1.0, seed=2)
         coreset = Coreset(ps.points, ps.weights, {"algorithm": "identity"})
-        out = evaluate_coreset(ps, coreset, make_problem("kmedian", k=2), seed=0)
+        out = evaluate_coreset(ps, coreset, make_problem("kmedian", k=2))
         assert out["metric"] == "normalized_cost"
         assert out["value"] == pytest.approx(1.0)
         assert out["relative_error"] == pytest.approx(0.0, abs=1e-12)
@@ -90,7 +90,7 @@ class TestEvaluateCoreset:
     def test_real_coreset_reports_its_bound(self):
         ps = synthetic_uniform(60, 3, 0.0, 1.0, seed=3)
         coreset = rcc_fixed_size(ps, 10)
-        out = evaluate_coreset(ps, coreset, make_problem("meb"), seed=0)
+        out = evaluate_coreset(ps, coreset, make_problem("meb"))
         assert out["eps_bound"] == coreset.eps_bound
         assert out["value"] >= 1.0 - 1e-9
         assert out["coreset_points"] == 10
@@ -100,7 +100,7 @@ class TestEvaluateCoreset:
         pts = ps.points[:5]
         weights = np.array([10.0, 8.0, 7.0, 6.0, -1.0])
         coreset = Coreset(pts, weights, {"algorithm": "manual"})
-        out = evaluate_coreset(ps, coreset, make_problem("kmeans", k=2), seed=0)
+        out = evaluate_coreset(ps, coreset, make_problem("kmeans", k=2))
         assert out["clamped"] is True
         assert math.isfinite(out["value"])
 
@@ -110,10 +110,10 @@ class TestEvaluateCoreset:
         problem = make_problem("kmedian", k=2)
         from kcoreset import problem_cost, solve_problem
 
-        model = solve_problem(problem, ps, seed=0)
+        model = solve_problem(problem, ps)
         full_cost = problem_cost(problem, ps, model)
         out = evaluate_coreset(
-            ps, coreset, problem, seed=0, full_model=model, full_cost=full_cost
+            ps, coreset, problem, full_model=model, full_cost=full_cost
         )
         assert out["value"] == pytest.approx(out["cost_full"] / full_cost)
 
@@ -135,9 +135,9 @@ class TestEvaluateCoreset:
         )
         coreset = rcc_fixed_size(train, 10)
         problem = make_problem("svm", positive_label="class0")
-        model = solve_problem(problem, coreset.to_pointset(), seed=0)
-        held = evaluate_coreset(train, coreset, problem, seed=0, held_out=test)
-        scored = evaluate_coreset(train, coreset, problem, seed=0)
+        model = solve_problem(problem, coreset.to_pointset())
+        held = evaluate_coreset(train, coreset, problem, held_out=test)
+        scored = evaluate_coreset(train, coreset, problem)
         assert held["metric"] == scored["metric"] == "accuracy"
         assert held["value"] == svm_accuracy(test, model)
         assert scored["value"] == svm_accuracy(train, model)
@@ -260,6 +260,20 @@ class TestRunBenchmark:
         records, _ = run_benchmark(config)
         assert len(records) == 3
         assert all((r.error, r.value, r.relative_error) == (None, 1.0, 0.0) for r in records)
+
+    def test_seed_free_coreset_scores_the_same_under_every_seed(self):
+        # a run's seed reaches its construction only, and rcc_fixed reads none
+        def scores(seed):
+            config = tiny_config(
+                runs=2, seed=seed, sizes=[8, 12],
+                algorithms=[{"name": "rcc", "kind": "rcc_fixed", "z": 2}],
+                problems=[{"name": "pca", "l": 1}, {"name": "pca", "l": 2}],
+            )
+            records, _ = run_benchmark(config)
+            assert all(r.error is None for r in records)
+            return [(repr(r.value), repr(r.relative_error)) for r in records]
+
+        assert scores(0) == scores(1) == scores(7)
 
     def test_cdf_rows_are_csv_rows(self, tmp_path):
         # cdf.csv is, byte for byte, one csv row per cell and grid level,
@@ -405,9 +419,9 @@ class TestRunBenchmark:
             data_sets.append(pointset)
             return construct(algorithm, pointset, size, seed)
 
-        def spy_solve(problem, pointset, seed=0):
+        def spy_solve(problem, pointset):
             on_data = any(pointset is ps for ps in data_sets)
-            return in_phase("data" if on_data else "coreset", solve)(problem, pointset, seed=seed)
+            return in_phase("data" if on_data else "coreset", solve)(problem, pointset)
 
         def spy_split(*args):
             splits.append(args)

@@ -1,8 +1,11 @@
 """Tests for the downstream problem solvers and cost functions.
 
-The enclosing-ball solver is checked against a dual quadratic program and
-the subspace solver against a dense eigendecomposition -- independent
-solution routes, compared on cost values.
+The enclosing-ball solver is checked against a dual quadratic program --
+an independent solution route, compared on cost values.  The subspace
+solver and its oracle both decompose the second-moment matrix, but they
+read a cost off it differently: the test measures the residuals of the
+projection onto the solver's eigenvectors, and the oracle sums the
+eigenvalues the subspace leaves out.
 """
 
 import math
@@ -25,6 +28,7 @@ from kcoreset import (
     svm_accuracy,
     svm_train,
     synthetic_blobs,
+    synthetic_uniform,
     with_svm_labels,
 )
 from kcoreset.problems import CentersModel, MebModel, SvmModel
@@ -90,14 +94,19 @@ class TestPca:
             FROZEN_SEED7_PCA_L2_COST, rel=1e-6
         )
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", [*range(10), "near_isotropic"])
     def test_matches_eigendecomposition(self, seed):
-        pts, w = random_instance(seed, n_range=(8, 30), dim_range=(3, 6))
-        ps = as_set(pts, w)
-        l = 1 + seed % 3
-        if l >= pts.shape[1]:
-            l = pts.shape[1] - 1
-        model = pca_solve(ps, l, seed=seed)
+        if seed == "near_isotropic":
+            # uniform on a centered cube: the eigenvalues all but tie
+            ps = synthetic_uniform(2000, 5, -1.0, 1.0, seed=11)
+            pts, w, l = ps.points, ps.weights, 2
+        else:
+            pts, w = random_instance(seed, n_range=(8, 30), dim_range=(3, 6))
+            ps = as_set(pts, w)
+            l = 1 + seed % 3
+            if l >= pts.shape[1]:
+                l = pts.shape[1] - 1
+        model = pca_solve(ps, l)
         problem = make_problem("pca", l=l)
         got = problem_cost(problem, ps, model)
         expected = pca_cost_oracle(pts, w, l)
@@ -107,6 +116,14 @@ class TestPca:
         pts, w = random_instance(4, n_range=(20, 20), dim_range=(5, 5))
         model = pca_solve(as_set(pts, w), 3)
         assert np.allclose(model.frame.T @ model.frame, np.eye(3), atol=1e-9)
+
+    @pytest.mark.parametrize("l", [1, 3])
+    def test_points_at_the_origin_get_an_orthonormal_frame(self, l):
+        # a zero second-moment matrix has every unit vector as an eigenvector
+        ps = as_set(np.zeros((4, 3)))
+        model = pca_solve(ps, l)
+        assert np.allclose(model.frame.T @ model.frame, np.eye(l), atol=1e-12)
+        assert problem_cost(make_problem("pca", l=l), ps, model) == 0.0
 
     def test_full_rank_subspace_has_zero_cost(self):
         pts, w = random_instance(5, n_range=(10, 10), dim_range=(3, 3))
@@ -242,7 +259,7 @@ class TestSolveDispatch:
     def test_centers_dispatch_matches_engine(self):
         pts, w = random_instance(9, n_range=(25, 25))
         ps = as_set(pts, w)
-        model = solve_problem(make_problem("kmedian", k=3), ps, seed=4)
+        model = solve_problem(make_problem("kmedian", k=3), ps)
         run = k_clustering(ps, 3, z=1)
         assert np.array_equal(model.centers, run.centers)
 
