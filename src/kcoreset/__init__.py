@@ -28,14 +28,11 @@ from .clustering import (
     ClusteringResult,
     DoubledRun,
     add_costliest_point,
-    assign_to_centers,
     brute_force_optimal,
     clustering_cost,
     k_clustering,
     k_clustering_doubled,
-    one_mean,
-    one_median,
-    weighted_geometric_median,
+    one_center,
 )
 from .coreset import (
     Coreset,
@@ -94,14 +91,11 @@ __all__ = [
     "ClusteringResult",
     "DoubledRun",
     "add_costliest_point",
-    "assign_to_centers",
     "brute_force_optimal",
     "clustering_cost",
     "k_clustering",
     "k_clustering_doubled",
-    "one_mean",
-    "one_median",
-    "weighted_geometric_median",
+    "one_center",
     "Coreset",
     "EpsCertificate",
     "certify_eps",

@@ -27,11 +27,11 @@ Newton steps, each kept only if it does not raise the cost; where one is
 rejected, the Weiszfeld step is taken and Kuhn's test may stop the solve
 on the nearest data point.  A problem has converged when an exact pass leaves its assignment unchanged.
 A problem stops on its own, and its rows drop out.  A single problem is
-the plain k-center run.  The Weiszfeld solver is also the only 1-median
-code: ``weighted_geometric_median`` is its one-segment call, and
-``brute_force_optimal`` solves all subsets in one call; both solve to
-tolerance.  A run keeps each row's distance to its center, as its last
-pass gathered it, so no caller measures it again.
+the plain k-center run.  The segment solver is also the only 1-center
+code: ``one_center`` is its one-segment call, and ``brute_force_optimal``
+solves all subsets in one call; both solve to tolerance.  A run keeps
+each row's distance to its center, as its last pass gathered it, so no
+caller measures it again.
 
 Initialization is recursive and draws no randomness: a 2m-center run
 starts from the union of per-cluster 2-center solutions of an m-center run,
@@ -82,11 +82,6 @@ def _validate_z(z: int) -> None:
         raise ValidationError(f"z must be 1 (k-median) or 2 (k-means), got {z}")
 
 
-def assign_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center per point; ties go to the lowest index."""
-    return np.argmin(cdist(points, np.atleast_2d(centers)), axis=1)
-
-
 def clustering_cost(pointset: WeightedPointSet, centers: np.ndarray, z: int = 2) -> float:
     """Weighted z-power distance cost of a center set on a point set."""
     _validate_z(z)
@@ -98,25 +93,18 @@ def clustering_cost(pointset: WeightedPointSet, centers: np.ndarray, z: int = 2)
     return _trivial_result(pointset.points, pointset.weights, centers, z).cost
 
 
-def weighted_geometric_median(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted geometric median by damped Weiszfeld iteration, then Newton steps.
+def one_center(pointset: WeightedPointSet, z: int, tol: float = DEFAULT_MEDIAN_TOL) -> tuple[np.ndarray, float]:
+    """Optimal 1-center of a weighted point set and its cost.
 
-    Starts from the weighted mean and stops when the gradient of
-    sum_p w_p*||p - y|| has norm <= DEFAULT_MEDIAN_TOL, when an iteration
-    leaves the iterate unchanged, or, if the iterate coincides with a data
-    point, when that point satisfies the local optimality test (pull of the
-    remaining points no larger than the point's own weight); the data point
-    itself is then returned.  After WEISZFELD_PLAIN_STEPS Weiszfeld steps,
-    and away from data points, each step is a Newton step, kept only if
-    it does not raise the cost.  Where one does, the Weiszfeld step is
-    taken instead, and Kuhn's test, the local optimality test above, runs
-    at the data point nearest it: if the point passes, it is returned.
-    This is the one-segment call of the solver that Lloyd iteration and
-    :func:`brute_force_optimal` run on many clusters at once.
+    z=2 gives the weighted mean; z=1 the weighted geometric median, solved
+    from the mean by the Weiszfeld solver of every Lloyd pass to gradient
+    tolerance ``tol`` (z=1 only), or returned as the data point where
+    Kuhn's test stops it.
     """
-    cols = np.asarray(points, dtype=float).T.copy()
-    weights = np.asarray(weights, dtype=float)
-    return _segment_centers(cols, weights, np.zeros(1, dtype=np.intp), 1)[0]
+    _validate_z(z)
+    points, weights = pointset.points, pointset.weights
+    center = _segment_centers(points.T.copy(), weights, np.zeros(1, dtype=np.intp), z, tol)
+    return center[0], _trivial_result(points, weights, center, z).cost
 
 
 def _segment_centers(cols, weights, starts, z, tol=DEFAULT_MEDIAN_TOL, init=None,
@@ -149,17 +137,20 @@ def _segment_means(cols, weights, starts):
 
 
 def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
-    """Weiszfeld iteration on every segment at once; see weighted_geometric_median.
+    """Weiszfeld iteration on every segment at once.
 
-    Each segment stops on its own tests, or returns its iterate right after
-    its ``max_steps``-th update (at most WEISZFELD_MAX_ITER).  No step
-    raises a segment's cost, so a capped segment is no worse than its
-    ``init``.  ``cols`` is read, never copied, unless a one-row segment,
-    its own median, drops out; a finished segment's rows are dropped, so
-    the segments still iterating do not pay for it, and the solve ends
-    when the last segment finishes.  An iterate sits on a row within
-    1e-14 * (1 + the segment's largest ``scale``), the rows' largest
-    absolute coordinates.
+    A segment stops when its rows' pull, the gradient of sum_p w_p*||p - y||,
+    has norm <= ``tol``, when a step leaves its iterate unchanged, or when
+    its iterate sits on a row where Kuhn's test holds: the pull of the
+    other rows is at most the row's weight (+ ``tol``); it then returns the
+    row.  Else it returns its iterate right after its ``max_steps``-th
+    update (at most WEISZFELD_MAX_ITER).  No step raises a segment's cost,
+    so a capped segment is no worse than its ``init``.  ``cols`` is only
+    read; a finished segment's rows are dropped, so the segments still
+    iterating do not pay for it, and the solve ends when the last segment
+    finishes.  An iterate sits on a row within 1e-14 * (1 + the segment's
+    largest ``scale``), the rows' largest absolute coordinates: a one-row
+    segment's first step lands there, and its second stops on the row.
 
     The first WEISZFELD_PLAIN_STEPS steps are plain Weiszfeld steps, so
     capped passes and short solves never see what follows.  After them, a
@@ -173,27 +164,17 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
     takes anyway, checks the step: it is kept if the cost did not rise.
     Otherwise the segment takes the Weiszfeld step it passed up instead,
     its next Newton step is at most half as long, and Kuhn's test runs at
-    the row nearest that Weiszfeld step: where the pull of the other rows
-    is at most the row's weight (+ ``tol``), the segment stops on the row.
+    the row nearest that Weiszfeld step: where it holds, the segment stops
+    on the row.
     Both tests scale ``tol`` by the segment's weight where it is below 1,
     so scaling a light segment's weights does not move its median.
     """
     sizes = np.diff(np.append(starts, cols.shape[1]))
     near_dist = np.repeat(1e-14 * (1.0 + np.maximum.reduceat(scale, starts)), sizes)
-    out = np.array(init, dtype=float)
-    pts = cols
-    # a one-point segment is its own median
-    single = sizes == 1
-    if single.any():
-        out[single] = cols[:, starts[single]].T
-        rows = np.repeat(~single, sizes)
-        pts, weights, near_dist = cols.compress(rows, axis=1), weights[rows], near_dist[rows]
-    live = np.flatnonzero(~single)  # row of ``out`` of each segment still iterating
-    if not live.size:
-        return out
-    limit = np.minimum(np.broadcast_to(max_steps, sizes.shape)[live], WEISZFELD_MAX_ITER)
-    sizes, y = sizes[live], out[live].T
-    starts = np.cumsum(sizes) - sizes
+    pts, y = cols, np.array(init, dtype=float).T
+    out = np.empty_like(y.T)
+    live = np.arange(sizes.size)  # row of ``out`` of each segment still iterating
+    limit = np.minimum(np.broadcast_to(max_steps, sizes.shape), WEISZFELD_MAX_ITER)
     tol = tol * np.minimum(1.0, np.add.reduceat(weights, starts))
     # once Newton steps start: each segment's cost before the Newton step it
     # took (inf where it took none), the Weiszfeld step it passed up, and
@@ -327,18 +308,6 @@ def _nearest_row_test(pts, weights, near_dist, sizes, segs, y, tol):
     diff *= weights / gap
     pull_vec = np.add.reduceat(diff, starts, axis=1)
     return vertex, np.sqrt(np.einsum("ij,ij->j", pull_vec, pull_vec)) <= w_here + tol
-
-
-def one_mean(pointset: WeightedPointSet) -> tuple[np.ndarray, float]:
-    """Weighted mean and its squared-distance cost (optimal 1-center, z=2)."""
-    run = _single_center(pointset.points, pointset.weights, 2)
-    return run.centers[0], run.cost
-
-
-def one_median(pointset: WeightedPointSet, tol: float = DEFAULT_MEDIAN_TOL) -> tuple[np.ndarray, float]:
-    """Weighted geometric median and its distance cost (1-center, z=1)."""
-    run = _single_center(pointset.points, pointset.weights, 1, tol)
-    return run.centers[0], run.cost
 
 
 @dataclass
@@ -523,11 +492,6 @@ def _trivial_result(points, weights, centers, z) -> ClusteringResult:
         centers=centers, assignment=assign, distances=near, cost=costs[0], z=z,
         iterations=0, converged=True, cost_history=costs,
     )
-
-
-def _single_center(points, weights, z, tol=DEFAULT_MEDIAN_TOL) -> ClusteringResult:
-    center = _segment_centers(points.T.copy(), weights, np.zeros(1, dtype=np.intp), z, tol)
-    return _trivial_result(points, weights, center, z)
 
 
 def add_costliest_point(pointset: WeightedPointSet, run: ClusteringResult) -> ClusteringResult:

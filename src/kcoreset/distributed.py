@@ -238,7 +238,6 @@ def node_sample(
     run: ClusteringResult,
     t_j: int,
     c_over_t: float,
-    z: int = 1,
     seed: int = 0,
 ) -> LocalCoreset:
     """Draw a node's sample points and compute residual center weights.
@@ -246,15 +245,16 @@ def node_sample(
     ``run`` is a clustering run on ``shard``, such as a rung of its ladder.
     Its assignment and point-to-center distances are read as they are, so
     each point must be assigned to its nearest center, as in every run the
-    clustering engine returns.  Each of the t_j draws picks point p with probability
-    proportional to m_p = w_p * dist(p, its center)^z and carries weight
-    (C/t) * w_p / m_p; duplicate draws are collapsed by weight summation.
+    clustering engine returns.  Each of the t_j draws picks point p with
+    probability proportional to m_p = w_p * dist(p, its center)^z, with the
+    run's own z, and carries weight (C/t) * w_p / m_p; duplicate draws are
+    collapsed by weight summation.
     Every center then carries its cell's total weight minus the weight of
     the samples drawn from that cell, which makes the node's contribution
     conserve its shard's weight exactly (residuals can be negative).
     """
     centers, assign = run.centers, run.assignment
-    m_p = shard.weights * run.distances**z
+    m_p = shard.weights * run.distances**run.z
     local_cost = float(m_p.sum())
     cell_weight = np.bincount(assign, weights=shard.weights, minlength=centers.shape[0])
 
@@ -332,7 +332,6 @@ def drcc(
             run,
             config.t_alloc[j],
             config.c_over_t,
-            z=z,
             seed=sample_seeds[j],
         )
         # only exact-zero residuals drop out (e.g. a center whose cell is empty)

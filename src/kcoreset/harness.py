@@ -210,7 +210,9 @@ def _load_config_dataset(entry: dict) -> WeightedPointSet:
                           f"choose from {_SYNTH_KINDS}")
 
 
-def _make_problem_from_entry(entry: dict) -> MLProblem:
+def _make_problem_from_entry(index: int, entry: dict) -> MLProblem:
+    if not isinstance(entry, dict) or "name" not in entry:
+        raise ValidationError(f"problems[{index}] must be an object with a 'name'")
     return make_problem(
         entry["name"],
         k=entry.get("k", 2),
@@ -316,8 +318,7 @@ def run_benchmark(config: dict, out_dir: str | None = None):
         (name, _load_config_dataset(entry)) for name, entry in zip(names, config["datasets"])
     ]
     problems = [
-        (entry.get("name"), _make_problem_from_entry(entry), entry)
-        for entry in config["problems"]
+        (_make_problem_from_entry(i, entry), entry) for i, entry in enumerate(config["problems"])
     ]
 
     # full-dataset solutions by (dataset index, problem index), shared across cells
@@ -343,12 +344,12 @@ def run_benchmark(config: dict, out_dir: str | None = None):
         records = []
         started = time.perf_counter()
         shared = None  # coreset of the whole dataset, or the error building it raised
-        if any(problem.name != "svm" for _, problem, _ in problems):
+        if any(problem.name != "svm" for problem, _ in problems):
             try:
                 shared = construct_coreset(algorithm, pointset, size, seed)
             except Exception as exc:
                 shared = exc
-        for pi, (p_name, problem, entry) in enumerate(problems):
+        for pi, (problem, entry) in enumerate(problems):
             try:
                 if problem.name == "svm":
                     scored, held_out = svm_split(pointset, problem, entry, di, pi)
@@ -368,7 +369,7 @@ def run_benchmark(config: dict, out_dir: str | None = None):
             except Exception as exc:
                 fields = dict(_FAILED_FIELDS, error=f"{type(exc).__name__}: {exc}")
             records.append(EvalRecord(
-                dataset=ds_name, algorithm=algo_name, problem=p_name or problem.name,
+                dataset=ds_name, algorithm=algo_name, problem=problem.name,
                 size=_size_label(size), run=run, seed=seed, wall_time=0.0, **fields,
             ))
         total = time.perf_counter() - started
@@ -414,7 +415,8 @@ def _stat(fn, values) -> float | None:
     """``fn(values)`` as a float; None where there are no values or it is not finite."""
     if not len(values):
         return None
-    value = float(fn(values))
+    with np.errstate(invalid="ignore"):  # inf - inf inside np.std
+        value = float(fn(values))
     return value if math.isfinite(value) else None
 
 

@@ -31,8 +31,7 @@ from kcoreset import (
     make_problem,
     node_local_centers,
     node_sample,
-    one_mean,
-    one_median,
+    one_center,
     partition_dataset,
     problem_cost,
     rcc_fixed_size,
@@ -180,16 +179,13 @@ def test_03_initialization_structural_guarantees():
                 if idx.size == 0:
                     continue
                 cluster = ps.subset(idx)
-                if z == 2:
-                    fresh, _ = one_mean(cluster)
-                else:
-                    fresh, _ = one_median(cluster, tol=1e-10)
+                fresh, _ = one_center(cluster, z, tol=1e-10)
                 movement = float(np.linalg.norm(fresh - run.base.centers[ci]))
                 assert movement <= tol, (i, ci, movement)
 
             assert run.doubled.cost <= run.split_costs.sum() + tol, i
 
-            mu, _ = (one_mean(ps) if z == 2 else one_median(ps, tol=1e-10))
+            mu, _ = one_center(ps, z, tol=1e-10)
             d = np.linalg.norm(ps.points - mu, axis=1)
             worst = ps.points[int(np.argmax(ps.weights * d**z))]
             seeded_cost = clustering_cost(ps, np.vstack([mu, worst]), z=z)
@@ -236,7 +232,7 @@ def test_04_engine_vs_exhaustive_and_partition_bounds():
                 cluster_gap = max(opt1 - opt2, 0.0)
                 assert cluster_gap <= whole_gap + 1e-9, i
 
-                mu, _ = (one_mean(sub) if z == 2 else one_median(sub, tol=1e-10))
+                mu, _ = one_center(sub, z, tol=1e-10)
                 reach = (cluster_gap / ps.w_min) ** (1.0 / z)
                 dists = np.linalg.norm(sub.points - mu, axis=1)
                 assert np.all(dists <= reach + 1e-9), i
@@ -272,7 +268,7 @@ def protocol_estimate(shards, ladders, model, config, run_seed):
     for j, (shard, ladder) in enumerate(zip(shards, ladders)):
         local = node_sample(
             shard, ladder.runs[config.k_alloc[j] - 1], config.t_alloc[j], config.c_over_t,
-            z=1, seed=run_seed * 131 + j,
+            seed=run_seed * 131 + j,
         )
         conserved &= (
             abs(local.total_weight - shard.total_weight)

@@ -323,6 +323,22 @@ class TestBenchmark:
         assert result.exit_code == 2
         assert "not valid JSON" in result.output
 
+    @pytest.mark.parametrize("entry", [{"k": 2}, "kmeans"])
+    def test_problem_without_name_is_invalid_input(self, runner, tmp_path, entry):
+        config = {
+            "datasets": [{"name": "u", "synthetic": {"kind": "uniform", "n": 50}}],
+            "algorithms": [{"kind": "uniform"}],
+            "sizes": [5],
+            "problems": [{"name": "meb"}, entry],
+        }
+        config_path = tmp_path / "nameless.json"
+        config_path.write_text(json.dumps(config))
+        result = runner.invoke(main, [
+            "benchmark", str(config_path), "--out", str(tmp_path / "r"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "problems[1] must be an object with a 'name'" in result.output
+
 
 @pytest.mark.parametrize("command", [
     ["construct", "--size", "10"],

@@ -18,17 +18,14 @@ from kcoreset import (
     ValidationError,
     WeightedPointSet,
     add_costliest_point,
-    assign_to_centers,
     brute_force_optimal,
     clustering_cost,
     k_clustering,
     k_clustering_doubled,
     normalize_features,
-    one_mean,
-    one_median,
+    one_center,
     synthetic_blobs,
     synthetic_uniform,
-    weighted_geometric_median,
 )
 from oracles import (
     exhaustive_clustering,
@@ -94,11 +91,13 @@ class TestCost:
     def test_bad_z_rejected(self):
         with pytest.raises(ValidationError):
             clustering_cost(as_set([[0.0]]), np.zeros((1, 1)), z=3)
+        with pytest.raises(ValidationError):
+            one_center(as_set([[0.0]]), 3)
 
     def test_assignment_ties_take_lowest_index(self):
         points = np.array([[0.0, 0.0]])
         centers = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        assert assign_to_centers(points, centers)[0] == 0
+        assert clustering._trivial_result(points, np.ones(1), centers, 2).assignment[0] == 0
 
 
 class TestOneCenter:
@@ -106,19 +105,19 @@ class TestOneCenter:
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(12, 4))
         w = rng.uniform(0.1, 5.0, 12)
-        center, cost = one_mean(as_set(pts, w))
+        center, cost = one_center(as_set(pts, w), 2)
         assert np.allclose(center, w @ pts / w.sum())
         assert cost == pytest.approx(float(w @ ((pts - center) ** 2).sum(axis=1)))
 
     def test_one_median_matches_frozen_oracle_cost(self):
         pts, w = seed7_instance()
-        _, cost = one_median(as_set(pts, w))
+        _, cost = one_center(as_set(pts, w), 1)
         assert cost == pytest.approx(FROZEN_SEED7_MEDIAN_COST, abs=1e-7)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_median_cost_never_beats_nor_trails_oracle(self, seed):
         pts, w = random_instance(seed, n_range=(3, 10), dim_range=(1, 4))
-        center = weighted_geometric_median(pts, w)
+        center = one_center(as_set(pts, w), 1)[0]
         cost = float(w @ np.linalg.norm(pts - center, axis=1))
         _, oracle_cost = one_center_oracle(pts, w, 1)
         # the objective is convex: neither route may see a lower value than
@@ -128,14 +127,14 @@ class TestOneCenter:
 
     def test_median_of_collinear_points_is_middle(self):
         pts = np.array([[0.0], [1.0], [10.0]])
-        center = weighted_geometric_median(pts, np.ones(3))
+        center = one_center(as_set(pts, np.ones(3)), 1)[0]
         assert center[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_heavy_point_pins_the_median(self):
         # one point outweighs the combined pull of all others
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         w = np.array([10.0, 1.0, 1.0, 1.0])
-        center = weighted_geometric_median(pts, w)
+        center = one_center(as_set(pts, w), 1)[0]
         assert np.allclose(center, [0.0, 0.0], atol=1e-9)
 
     def test_flat_two_group_median_converges_fast(self, monkeypatch):
@@ -147,7 +146,7 @@ class TestOneCenter:
         pts[50:, -1] += 2.0
         w = np.ones(98)
         monkeypatch.setattr(clustering, "WEISZFELD_MAX_ITER", 100)
-        center = weighted_geometric_median(pts, w)
+        center = one_center(as_set(pts, w), 1)[0]
         assert np.linalg.norm(pull_at(pts, w, center)) <= clustering.DEFAULT_MEDIAN_TOL
 
     def test_vertex_optimum_is_returned_exactly(self):
@@ -156,19 +155,19 @@ class TestOneCenter:
         # Weiszfeld stops after 5000 steps at (0.004, 0), at cost 2.0099793
         pts = np.array([[0.0, 0.0], [1.0, 0.1], [1.0, -0.1]])
         w = np.array([2.0 * np.cos(np.arctan(0.1)) + 1e-3, 1.0, 1.0])
-        center = weighted_geometric_median(pts, w)
+        center = one_center(as_set(pts, w), 1)[0]
         assert np.array_equal(center, [0.0, 0.0])
         assert w @ np.linalg.norm(pts - center, axis=1) < 2.0099793
 
     def test_median_of_single_point(self):
         assert np.array_equal(
-            weighted_geometric_median(np.array([[3.0, 4.0]]), np.array([2.0])),
+            one_center(as_set(np.array([[3.0, 4.0]]), np.array([2.0])), 1)[0],
             [3.0, 4.0],
         )
 
     def test_median_of_two_points_lies_on_segment(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-        center = weighted_geometric_median(pts, np.array([1.0, 1.0]))
+        center = one_center(as_set(pts, np.array([1.0, 1.0])), 1)[0]
         cost = float(np.linalg.norm(pts - center, axis=1).sum())
         assert cost == pytest.approx(2.0, abs=1e-8)
 
@@ -184,9 +183,9 @@ class TestEngine:
         pts, w = seed7_instance()
         ps = as_set(pts, w)
         res2 = k_clustering(ps, 1, z=2)
-        assert res2.cost == pytest.approx(one_mean(ps)[1])
+        assert res2.cost == pytest.approx(one_center(ps, 2)[1])
         res1 = k_clustering(ps, 1, z=1)
-        assert res1.cost == pytest.approx(one_median(ps)[1], abs=1e-9)
+        assert res1.cost == pytest.approx(one_center(ps, 1)[1], abs=1e-9)
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_deterministic_at_odd_and_even_k(self, k):
@@ -241,7 +240,7 @@ class TestEngine:
                     if idx.size == 0:
                         continue
                     part = ps.subset(idx)
-                    best = one_mean(part)[1] if z == 2 else one_median(part)[1]
+                    best = one_center(part, z)[1]
                     got = clustering_cost(part, res.centers[i], z)
                     assert got <= best + tol * (1.0 + best)
 
@@ -293,7 +292,7 @@ class TestEngine:
         assert np.array_equal(res.centers[a], heavy[0])
         diff = res.centers[b] - np.array(light)
         grad = (diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)
-        assert np.linalg.norm(grad) <= 1e-8  # one_median's default tolerance
+        assert np.linalg.norm(grad) <= 1e-8  # one_center's default tolerance
 
     def test_coinciding_points_cost_exactly_zero(self):
         # the 1-median of a cluster of coinciding points is that point, not
@@ -596,6 +595,15 @@ class TestLloydProblems:
             assert np.array_equal(center, alone[0])
             if size == 1:
                 assert np.array_equal(center, points[s])
+        # a capped Lloyd pass, from centers away from the rows, at any scale:
+        # the first step lands within ULPs of the row, and the second pins it
+        one_row = starts[sizes == 1]
+        for scale in (1e-6, 1.0, 1e6):
+            cols = (scale * points).T.copy()
+            init = scale * rng.normal(0.0, 10.0, size=(sizes.size, 4))
+            got = clustering._segment_centers(cols, weights, starts, 1, init=init,
+                                              max_steps=clustering.WEISZFELD_CAPPED_STEPS)
+            assert np.array_equal(got[sizes == 1], cols[:, one_row].T)
 
     def test_capped_weiszfeld_returns_its_last_update(self):
         # segment 0 takes one plain Weiszfeld step, segment 1 three, from
@@ -623,13 +631,13 @@ class TestLloydProblems:
         for _ in range(2):
             inv = w / np.linalg.norm(pts - y, axis=1)
             y = inv @ pts / inv.sum()
-        np.testing.assert_allclose(weighted_geometric_median(pts, w), y, rtol=1e-12)
+        np.testing.assert_allclose(one_center(as_set(pts, w), 1)[0], y, rtol=1e-12)
 
     @staticmethod
     def assert_one_medians(points, weights, clusters, centers):
         for i, center in enumerate(centers):
             members = clusters == i
-            _, best = one_median(as_set(points[members], weights[members]), tol=1e-10)
+            _, best = one_center(as_set(points[members], weights[members]), 1, tol=1e-10)
             cost = weights[members] @ np.linalg.norm(points[members] - center, axis=1)
             assert cost == pytest.approx(best, rel=1e-9)
 
@@ -646,7 +654,8 @@ class TestLloydProblems:
         monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", 1)
         points, weights, init = self.uniform_run_input(seed)
         run = clustering._lloyd(points, weights, init, 1)
-        self.assert_one_medians(points, weights, assign_to_centers(points, init), run.centers)
+        clusters = clustering._trivial_result(points, weights, init, 1).assignment
+        self.assert_one_medians(points, weights, clusters, run.centers)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_converged_run_solves_its_clusters_to_tolerance(self, seed):
@@ -888,7 +897,7 @@ class TestBruteForce:
         res = brute_force_optimal(ps, 4, z=2)
         assert np.all(np.diff(res.costs_by_size) <= 1e-12)
         assert res.costs_by_size[-1] == pytest.approx(res.cost)
-        assert res.costs_by_size[0] == pytest.approx(one_mean(ps)[1])
+        assert res.costs_by_size[0] == pytest.approx(one_center(ps, 2)[1])
 
     def test_partition_reconstructs_cost(self):
         pts, w = seed7_instance()
@@ -897,7 +906,7 @@ class TestBruteForce:
         total = 0.0
         for part in res.parts:
             sub = ps.subset(np.array(part))
-            total += one_mean(sub)[1]
+            total += one_center(sub, 2)[1]
         assert total == pytest.approx(res.cost, rel=1e-12)
 
     def test_refuses_large_instances(self):

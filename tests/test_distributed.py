@@ -240,14 +240,14 @@ class TestNodeSample:
         shard = random_set(7)
         centers = shard.points[:3]
         local = node_sample(
-            shard, centers_run(shard, centers, 1), t_j=12, c_over_t=0.8, z=1, seed=2
+            shard, centers_run(shard, centers, 1), t_j=12, c_over_t=0.8, seed=2
         )
         assert local.total_weight == pytest.approx(shard.total_weight, rel=1e-12)
 
     def test_sample_points_come_from_the_shard(self):
         shard = random_set(8)
         local = node_sample(
-            shard, centers_run(shard, shard.points[:2], 2), t_j=9, c_over_t=1.0, z=2, seed=0
+            shard, centers_run(shard, shard.points[:2], 2), t_j=9, c_over_t=1.0, seed=0
         )
         for p in local.sample_points:
             assert any((p == q).all() for q in shard.points)
@@ -257,7 +257,7 @@ class TestNodeSample:
         shard = random_set(9)
         centers = shard.points[:2]
         local = node_sample(
-            shard, centers_run(shard, centers, 1), t_j=0, c_over_t=0.0, z=1, seed=0
+            shard, centers_run(shard, centers, 1), t_j=0, c_over_t=0.0, seed=0
         )
         assert local.sample_points.shape == (0, shard.dim)
         assign = cdist(shard.points, centers).argmin(axis=1)
@@ -270,7 +270,7 @@ class TestNodeSample:
         # a huge weight normalizer drains far more than the cells hold
         shard = random_set(10, n=10)
         local = node_sample(
-            shard, centers_run(shard, shard.points[:1], 1), t_j=8, c_over_t=50.0, z=1, seed=1
+            shard, centers_run(shard, shard.points[:1], 1), t_j=8, c_over_t=50.0, seed=1
         )
         assert local.center_weights.min() < 0
         assert local.total_weight == pytest.approx(shard.total_weight, rel=1e-12)
@@ -283,7 +283,7 @@ class TestNodeSample:
         counts = np.zeros(3)
         for s in range(300):
             local = node_sample(
-                shard, centers_run(shard, pts[:1], 1), t_j=1, c_over_t=1.0, z=1, seed=s
+                shard, centers_run(shard, pts[:1], 1), t_j=1, c_over_t=1.0, seed=s
             )
             if local.sample_points.shape[0]:
                 row = np.flatnonzero((pts == local.sample_points[0]).all(axis=1))[0]
@@ -398,7 +398,7 @@ class TestDrcc:
                 run = ladders[j].runs[config.k_alloc[j] - 1]
                 local = node_sample(
                     shard, run, config.t_alloc[j], config.c_over_t,
-                    z=1, seed=1000 + 7 * r + j,
+                    seed=1000 + 7 * r + j,
                 )
                 pts = np.vstack([local.sample_points, local.center_points])
                 wts = np.concatenate([local.sample_weights, local.center_weights])

@@ -309,6 +309,7 @@ class TestRunBenchmark:
         assert [r.coreset_points for r in records] == [1, 1]
         assert all((r.error, r.value, r.relative_error) == (None, 1.0, 0.0) for r in records)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_summary_statistics_are_written_as_null(self, tmp_path):
         records, _ = run_benchmark(tiny_config())
         records[0] = dataclasses.replace(records[0], value=math.inf)
