@@ -5,12 +5,14 @@ The cost of a center set Q on a weighted point set is
 z = 1 (k-median).  The solver is Lloyd iteration over weighted 1-center
 steps, run on many independent problems at once: each problem is a
 contiguous row segment with its own centers.  Each Lloyd pass works on
-whole arrays and reads each of them once: one cdist per problem, written
-into one distance array, and one argmin per problem block give its new
-assignment and, from the distances at it, its cost and the restart of
-empty centers.  The rows sorted by (problem, cluster) make every cluster
-one contiguous segment, so all clusters of all problems are recentered at
-once.  The recenter reads the rows coordinate-major, a (dim, n) array that
+whole arrays and reads each of them once: one cdist per problem, from its
+centers to its rows, writes one center-major (centers x rows) distance
+array, and one minimum over the centers of all problems at once gives
+each row's nearest distance, hence the costs and the restart of empty
+centers; the first center at that distance is the new assignment.  The
+rows sorted by (problem, cluster) make every cluster one contiguous
+segment, so all clusters of all problems are recentered at once.  The
+recenter reads the rows coordinate-major, a (dim, n) array that
 a Lloyd call builds once; each pass regroups it with one ``take`` in the
 order of a stable sort of the (problem, cluster) key, cast to the smallest
 unsigned type that holds it, so that up to 65,536 keys the sort is a
@@ -30,7 +32,7 @@ A problem stops on its own, and its rows drop out.  A single problem is
 the plain k-center run.  The segment solver is also the only 1-center
 code: ``one_center`` is its one-segment call, and ``brute_force_optimal``
 solves all subsets in one call; both solve to tolerance.  A run keeps
-each row's distance to its center, as its last pass gathered it, so no
+each row's distance to its center, as its last pass measured it, so no
 caller measures it again.
 
 Initialization is recursive and draws no randomness: a 2m-center run
@@ -341,45 +343,55 @@ def _cost_and_assignment(points, weights, centers, sizes, z, filled=None):
     """Per-problem costs, nearest-center assignment and its distances from one distance array.
 
     The rows are consecutive problems: problem p is the next sizes[p] rows,
-    with its own centers[p] (``centers`` has shape (problems, c, dim)).  One
-    cdist per problem measures its rows against its own centers only, so a
-    row's assignment indexes them.  Each problem's block is reduced once:
-    its argmin is the assignment (ties go to the lowest index), and the
-    distances at it, gathered from the block, give the cost and are
-    returned with it.  Where ``filled[p, i]`` is False, center i of problem
-    p first restarts in place at that problem's currently most expensive
-    row, unless that would raise the problem's cost; only a block whose
-    centers moved takes its argmin and gathers its distances again.
+    with its own centers[p] (``centers`` has shape (problems, c, dim)).  The
+    distance array is center-major, (c, rows): one cdist per problem
+    measures its own centers against its rows, so a row's assignment
+    indexes them.  All problems are reduced at once: the minimum over the
+    centers is each row's distance to its nearest center and gives the
+    cost, and the assignment is the first center at that distance, so ties
+    go to the lowest index.  Where ``filled[p, i]`` is False, center i of
+    problem p first restarts in place at that problem's currently most
+    expensive row, unless that would raise the problem's cost; only a
+    problem whose centers moved is assigned again.
     """
-    n, c = points.shape[0], centers.shape[1]
-    dist = np.empty((n, c))
-    assign = np.empty(n, dtype=np.intp)
-    near = np.empty(n)
-    flat, row_base = dist.ravel(), np.arange(0, n * c, c)
+    c = centers.shape[1]
     ends = np.cumsum(sizes)
+    bounds = list(zip(ends - sizes, ends))
+    if len(bounds) == 1:
+        dist = cdist(centers[0], points)
+    else:
+        dist = np.empty((c, points.shape[0]))
+        for p, (s, e) in enumerate(bounds):
+            dist[:, s:e] = cdist(centers[p], points[s:e])
+    near = np.minimum.reduce(dist, axis=0)
+    assign = _first_nearest(dist, near)
     costs = []
-    for p, (s, e) in enumerate(zip(ends - sizes, ends)):
-        block, block_assign, nearest = dist[s:e], assign[s:e], near[s:e]
-        cdist(points[s:e], centers[p], out=block)
-        np.argmin(block, axis=1, out=block_assign)
-        np.take(flat, row_base[s:e] + block_assign, out=nearest)
-        cost = float(weights[s:e] @ nearest**z)
+    for p, (s, e) in enumerate(bounds):
+        cost = float(weights[s:e] @ near[s:e]**z)
         if filled is not None and not filled[p].all():
-            cost, moved = _restart(points[s:e], weights[s:e], block, nearest, cost, centers[p],
-                                   np.flatnonzero(~filled[p]), z)
+            cost, moved = _restart(points[s:e], weights[s:e], dist[:, s:e], near[s:e], cost,
+                                   centers[p], np.flatnonzero(~filled[p]), z)
             if moved:
-                np.argmin(block, axis=1, out=block_assign)
-                np.take(flat, row_base[s:e] + block_assign, out=nearest)
+                assign[s:e] = _first_nearest(dist[:, s:e], near[s:e])
         costs.append(cost)
     return costs, assign, near
+
+
+def _first_nearest(dist, near):
+    """Per row, the first center whose entry of ``dist`` (centers x rows) equals ``near``."""
+    assign = np.full(dist.shape[1], dist.shape[0] - 1, dtype=np.intp)
+    # downward, so that the lowest index is written last and wins ties
+    for j in range(dist.shape[0] - 2, -1, -1):
+        np.putmask(assign, dist[j] == near, j)
+    return assign
 
 
 def _restart(points, weights, dist, nearest, cost, centers, empty, z):
     """Move each center in ``empty`` to the costliest row, unless the cost rises.
 
-    ``nearest`` holds each row's smallest entry of ``dist`` (rows x
-    centers).  ``dist`` and ``centers`` are updated in place; returns the
-    cost after the moves and whether any center moved.
+    ``nearest`` holds each row's smallest entry of ``dist`` (centers x
+    rows).  ``dist``, ``nearest`` and ``centers`` are updated in place;
+    returns the cost after the moves and whether any center moved.
     """
     moved_any = False
     for i in empty:
@@ -387,15 +399,16 @@ def _restart(points, weights, dist, nearest, cost, centers, empty, z):
         j = int(np.argmax(scores))
         if scores[j] <= 0:
             break
-        old = dist[:, i].copy()
-        dist[:, i] = cdist(points, points[j : j + 1])[:, 0]
-        moved = dist.min(axis=1)
+        old = dist[i].copy()
+        dist[i] = cdist(points[j : j + 1], points)[0]
+        moved = dist.min(axis=0)
         moved_cost = float(weights @ moved**z)
         if moved_cost > cost:
-            dist[:, i] = old
+            dist[i] = old
         else:
             centers[i] = points[j]
-            nearest, cost, moved_any = moved, moved_cost, True
+            nearest[:] = moved
+            cost, moved_any = moved_cost, True
     return cost, moved_any
 
 
@@ -574,7 +587,7 @@ class _Recursion:
                 init = [splits[s][0] for s in todo]
                 if k % 2 == 1:
                     for i, (p, w) in enumerate(sets):
-                        scores = w * cdist(p, init[i]).min(axis=1) ** self.z
+                        scores = w * cdist(init[i], p).min(axis=0) ** self.z
                         init[i] = np.vstack([init[i], p[np.argmax(scores)]])
                 solved = _lloyd_problems(points, weights, starts, np.stack(init), self.z)
             for s, run in zip(todo, solved):

@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, replace
@@ -186,9 +187,7 @@ def _load_config_dataset(entry: dict) -> WeightedPointSet:
         if entry.get("normalize", True):
             pointset = normalize_features(pointset)
         return pointset
-    spec = entry.get("synthetic")
-    if not spec:
-        raise ValidationError(f"dataset {name!r} needs either 'path' or 'synthetic'")
+    spec = entry["synthetic"]
     kind = spec.get("kind")
     if kind == "blobs":
         return synthetic_blobs(
@@ -292,7 +291,11 @@ def run_benchmark(config: dict, out_dir: str | None = None):
     train part work on one point set object.  That object keeps its
     clustering runs: the first task that clusters a set pays for the runs
     that every later construction and problem on it shares.  Any
-    exception raised in a cell fails that cell's record only.
+    exception raised in a cell fails that cell's record only.  The config
+    itself is checked first, before any dataset is loaded: ``runs`` is an
+    integer >= 1, ``sizes`` a non-empty list of positive integers or null
+    (null lets the construction pick its size), and every dataset,
+    algorithm and problem entry an object; else ValidationError.
 
     Returns (records, summary); when out_dir is given also writes runs.csv,
     summary.json, cdf.csv and timings.csv there.
@@ -300,25 +303,36 @@ def run_benchmark(config: dict, out_dir: str | None = None):
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     master_seed = int(config.get("seed", 0))
-    runs = int(config.get("runs", 1))
-    if runs < 1:
-        raise ValidationError("runs must be >= 1")
-    if not config.get("datasets"):
-        raise ValidationError("config needs a non-empty 'datasets' list")
-    if not config.get("algorithms"):
-        raise ValidationError("config needs a non-empty 'algorithms' list")
-    if not config.get("problems"):
-        raise ValidationError("config needs a non-empty 'problems' list")
-    sizes = config.get("sizes", [None])
+    runs = config.get("runs", 1)
+    if not _positive_int(runs):
+        raise ValidationError(f"runs must be an integer >= 1, got {runs!r}")
+    sizes = config.get("sizes")
+    if sizes is None:
+        sizes = [None]
+    elif not (isinstance(sizes, list) and sizes
+              and all(size is None or _positive_int(size) for size in sizes)):
+        raise ValidationError(
+            f"sizes must be a non-empty list of positive integers or null, got {sizes!r}"
+        )
+    for key in ("datasets", "algorithms", "problems"):
+        if not config.get(key):
+            raise ValidationError(f"config needs a non-empty {key!r} list")
+    for key in ("datasets", "algorithms"):
+        for i, entry in enumerate(config[key]):
+            if not isinstance(entry, dict):
+                raise ValidationError(f"{key}[{i}] must be an object")
+    for i, entry in enumerate(config["datasets"]):
+        if "path" not in entry and not isinstance(entry.get("synthetic"), dict):
+            raise ValidationError(f"datasets[{i}] needs a 'path' or a 'synthetic' object")
 
     names = [entry.get("name", f"dataset{i}") for i, entry in enumerate(config["datasets"])]
     if len(set(names)) != len(names):
         raise ValidationError(f"dataset names must be unique, got {names}")
-    datasets = [
-        (name, _load_config_dataset(entry)) for name, entry in zip(names, config["datasets"])
-    ]
     problems = [
         (_make_problem_from_entry(i, entry), entry) for i, entry in enumerate(config["problems"])
+    ]
+    datasets = [
+        (name, _load_config_dataset(entry)) for name, entry in zip(names, config["datasets"])
     ]
 
     # full-dataset solutions by (dataset index, problem index), shared across cells
@@ -391,6 +405,10 @@ def run_benchmark(config: dict, out_dir: str | None = None):
     if out_dir:
         _write_outputs(records, summary, out_dir)
     return records, summary
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 def _derived_seed(master: int, key: tuple) -> int:

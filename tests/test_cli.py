@@ -339,6 +339,27 @@ class TestBenchmark:
         assert result.exit_code == 2, result.output
         assert "problems[1] must be an object with a 'name'" in result.output
 
+    @pytest.mark.parametrize("change, message", [
+        ({"datasets": ["u"]}, "datasets[0] must be an object"),
+        ({"algorithms": ["uniform"]}, "algorithms[0] must be an object"),
+        ({"sizes": "40"}, "sizes must be a non-empty list"),
+    ], ids=["dataset-string", "algorithm-string", "sizes-string"])
+    def test_malformed_config_is_invalid_input(self, runner, tmp_path, change, message):
+        config = {
+            "datasets": [{"name": "u", "synthetic": {"kind": "uniform", "n": 50}}],
+            "algorithms": [{"kind": "uniform"}],
+            "sizes": [5],
+            "problems": [{"name": "meb"}],
+        }
+        config_path = tmp_path / "malformed.json"
+        config_path.write_text(json.dumps(dict(config, **change)))
+        result = runner.invoke(main, [
+            "benchmark", str(config_path), "--out", str(tmp_path / "r"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
+
 
 @pytest.mark.parametrize("command", [
     ["construct", "--size", "10"],

@@ -772,11 +772,11 @@ class TestLongSolves:
 @st.composite
 def assignment_problems(draw):
     """Problems of unequal size on a small grid, each with c centers drawn
-    from a few grid points (so centers repeat and rows tie), some of them
-    marked empty."""
-    c = draw(st.sampled_from([1, 2, 5]))
+    from a few grid points (so centers repeat and rows tie many ways), some
+    of them marked empty."""
+    c = draw(st.sampled_from([1, 2, 5, 16]))
     dim = draw(st.integers(1, 3))
-    sizes = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=2, max_size=4))
     n, m = sum(sizes), len(sizes) * c
     grid = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
     points = np.array(draw(st.lists(grid, min_size=n, max_size=n)), dtype=float)
@@ -805,9 +805,9 @@ def one_dim_case(blocks, centers, filled):
 @example(case=one_dim_case([[7, 8], [0, 0, 0, 10]], [[7, 7], [5, 0]],
                            [[True, True], [True, False]]))
 def test_one_reduction_matches_min_then_argmin(z, case):
-    # the cost, assignment and distances read off one argmin per block are,
-    # bit for bit, a fresh min, argmin and gather over the distances to the
-    # returned centers
+    # the cost, assignment and distances read off one center-major min and
+    # its first-index pass are, bit for bit, a fresh row-major min, argmin
+    # and gather over the distances to the returned centers
     points, weights, centers, sizes, filled = case
     moved = centers.copy()
     costs, assign, near = clustering._cost_and_assignment(points, weights, moved, sizes, z,

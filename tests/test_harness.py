@@ -491,6 +491,42 @@ class TestRunBenchmark:
         with pytest.raises(ValidationError, match="unique"):
             run_benchmark(same_name)
 
+    @pytest.mark.parametrize("key, entry, message", [
+        ("datasets", "u", "datasets[0] must be an object"),
+        ("algorithms", "uniform", "algorithms[2] must be an object"),
+        ("datasets", {"name": "b", "synthetic": "blobs"},
+         "datasets[0] needs a 'path' or a 'synthetic' object"),
+    ], ids=["dataset-string", "algorithm-string", "synthetic-string"])
+    def test_non_object_entries_are_invalid(self, key, entry, message):
+        config = tiny_config(runs=1)
+        if key == "datasets":
+            config["datasets"] = [entry]
+        else:
+            config["algorithms"].append(entry)
+        with pytest.raises(ValidationError) as excinfo:
+            run_benchmark(config)
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize("extra", [
+        {"sizes": "40"}, {"sizes": [2.5]}, {"sizes": [True]}, {"sizes": []},
+        {"sizes": [8, 0]}, {"runs": "x"}, {"runs": 1.5}, {"runs": True},
+    ], ids=["sizes-string", "sizes-float", "sizes-bool", "sizes-empty", "sizes-zero",
+            "runs-string", "runs-float", "runs-bool"])
+    def test_sizes_and_runs_checked_before_any_work(self, monkeypatch, extra):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dataset was loaded before sizes and runs were checked")
+
+        monkeypatch.setattr(harness, "_load_config_dataset", refuse)
+        with pytest.raises(ValidationError, match=next(iter(extra))):
+            run_benchmark(tiny_config(**extra))
+
+    def test_null_sizes_mean_the_construction_picks_its_size(self):
+        config = tiny_config(runs=1, algorithms=[{"name": "rcc", "kind": "rcc", "eps": 2.0}],
+                             problems=[{"name": "meb"}])
+        for sizes in (None, [None]):
+            records, _ = run_benchmark(dict(config, sizes=sizes))
+            assert [(r.size, r.error) for r in records] == [("auto", None)]
+
     def test_file_dataset_entries_load(self, tmp_path):
         from kcoreset import save_pointset
 
