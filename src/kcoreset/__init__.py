@@ -46,8 +46,6 @@ from .coreset import (
 from .baselines import farthest_point, sensitivity_sample, uniform_sample
 from .distributed import (
     LocalCoreset,
-    LocalLadder,
-    NodeReport,
     ProtocolTrace,
     ServerConfig,
     cdcc,
@@ -107,8 +105,6 @@ __all__ = [
     "sensitivity_sample",
     "uniform_sample",
     "LocalCoreset",
-    "LocalLadder",
-    "NodeReport",
     "ProtocolTrace",
     "ServerConfig",
     "cdcc",

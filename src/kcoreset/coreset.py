@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .clustering import ClusteringResult, DoubledRun, _recursion_of
+from .clustering import ClusteringResult, DoubledRun, k_clustering, k_clustering_doubled
 from .data import WeightedPointSet, load_points_and_weights, save_pointset
 from .errors import ThresholdNotReachedError, ValidationError
 
@@ -232,7 +232,7 @@ def rcc_fixed_size(
     for summed costs).  Runs already made on the same set, by any earlier
     call, are reused.
     """
-    run = _recursion_of(pointset, z).run(k)[0]
+    run = k_clustering(pointset, k, z)
     coreset = coreset_from_run(pointset, run, provenance={"algorithm": "rcc_fixed", "rho": rho})
     coreset.certificate = certify_eps(pointset, run, rho=rho)
     coreset.eps_bound = coreset.certificate.eps_maxdist
@@ -269,13 +269,12 @@ def rcc(
     k_max = min(k_max, pointset.size)
     threshold = pointset.w_min * (eps / rho) ** z
 
-    recursion = _recursion_of(pointset, z)
     tried = []  # in the order first tried, so a tie in min() goes to the earliest
 
     def gap_at(k: int) -> float:
         if k not in tried:
             tried.append(k)
-        return max(recursion.doubled(k)[0].gap, 0.0)
+        return max(k_clustering_doubled(pointset, k, z).gap, 0.0)
 
     # double until the gap certificate passes, then binary-refine downwards;
     # every size tried is in ``tried`` (a k_max <= 0 fails in gap_at)
@@ -305,7 +304,7 @@ def rcc(
         else:
             lo = mid
 
-    chosen = recursion.doubled(passing)[0]
+    chosen = k_clustering_doubled(pointset, passing, z)
     coreset = coreset_from_run(
         pointset, chosen.base,
         provenance={

@@ -8,11 +8,11 @@ the residual weight of its own cell, so the total weight of the combined
 coreset equals the total weight of the data exactly, and weighted sum-cost
 estimates are unbiased over the sampling randomness.
 
-Communication is deliberately tiny: each node uploads its K-entry cost
-ladder (K*n scalars in total), the server answers with three scalars per
-node (center count, sample count, weight normalizer), and only then do the
-coreset points themselves travel.  A ProtocolTrace records every message so
-the overhead can be audited.
+Communication is deliberately tiny: each node uploads its cost ladder, a
+plain list of its K clustering costs (K*n scalars in total), the server
+answers with three scalars per node (center count, sample count, weight
+normalizer), and only then do the coreset points themselves travel.  A
+ProtocolTrace records every message so the overhead can be audited.
 
 The nodes are simulated in one process.  Their ladders are built
 together, one engine call per ladder rung (and per split level) across all
@@ -29,6 +29,7 @@ floor and cap set to k, so the allocator has no increment left to make.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -42,26 +43,6 @@ from .errors import ValidationError
 # per-node center count and cost exponent of a protocol named without them
 DEFAULT_CENTERS = {"drcc": 5, "cdcc": 2}
 DEFAULT_Z = {"drcc": 1, "cdcc": 2}
-
-
-@dataclass
-class LocalLadder:
-    """A node's clustering runs for every candidate center count 1..K."""
-
-    runs: list
-    clamped: bool = False
-
-    @property
-    def costs(self) -> np.ndarray:
-        return np.array([run.cost for run in self.runs])
-
-
-@dataclass(frozen=True)
-class NodeReport:
-    """The scalars a node actually uploads: its clustering cost ladder."""
-
-    node_id: int
-    local_costs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,27 +105,27 @@ class ProtocolTrace:
 
 
 def node_local_centers(shards: list, K: int, z: int = 1) -> list:
-    """Cluster every shard for every center count k = 1..K; one LocalLadder per shard.
+    """Cluster every shard for every center count k = 1..K; one list of runs per shard.
 
-    A shard's K is clamped to its size when necessary.  Its k-center
-    candidate equals ``k_clustering(shard, k, z)``; all candidates of all
-    shards come from one k/2 -> k recursion, which solves a rung for every
-    shard in one engine call, so every run on which a larger k builds is
-    computed once per shard, and no state passes between shards.  The
-    reported costs are non-increasing in k: whenever the k-center run costs
-    more than the (k-1)-center run, :func:`add_costliest_point` grows the
+    A shard's list holds its runs for k = 1..min(K, shard size), so it is
+    shorter than K exactly when the shard has fewer than K points.  Its
+    k-center candidate equals ``k_clustering(shard, k, z)``; all candidates
+    of all shards come from one k/2 -> k recursion, which solves a rung for
+    every shard in one engine call, so every run on which a larger k builds
+    is computed once per shard, and no state passes between shards.  The
+    run costs are non-increasing in k: whenever the k-center run costs more
+    than the (k-1)-center run, :func:`add_costliest_point` grows the
     previous run by its most expensive point and the cheaper of the two
     results is kept.
     """
     if K < 1:
         raise ValidationError("K must be >= 1")
-    ladders = [LocalLadder(runs=[], clamped=K > shard.size) for shard in shards]
+    ladders = [[] for _ in shards]
     recursion = _Recursion(shards, z)
     for k in range(1, min(K, max((shard.size for shard in shards), default=0)) + 1):
-        for shard, ladder, cand in zip(shards, ladders, recursion.run(k)):
+        for shard, runs, cand in zip(shards, ladders, recursion.run(k)):
             if k > shard.size:
                 continue  # this ladder stopped at its shard's size
-            runs = ladder.runs
             if runs and cand.cost > runs[-1].cost:
                 alt = add_costliest_point(shard, runs[-1])
                 if alt.cost < cand.cost:
@@ -173,47 +154,41 @@ def _center_floor(N: int, ladder_lengths: list, k_fixed: int | None) -> int:
 
 
 def server_allocate(
-    reports: list,
+    ladders: list,
     N: int,
     seed: int = 0,
     k_fixed: int | None = None,
 ) -> ServerConfig:
     """Split the size budget into per-node center counts and sample counts.
 
-    Starts every node at its floor and greedily applies the single
-    increment that most reduces (sum of chosen local costs) / sqrt(N - sum
-    of center counts), up to each node's cap and keeping at least one
-    sample slot free; ties go to the lowest node id.  The remaining t slots
-    are assigned to nodes by one multinomial draw proportional to the
-    chosen local costs.  The floor is 1 and the cap is the node's ladder
-    length; ``k_fixed`` sets both to k_fixed, so every node keeps exactly
-    k_fixed centers.  :func:`_center_floor` checks the inputs.
+    ``ladders[j]`` is node j's cost ladder: its clustering costs for
+    1, 2, ... centers.  Every node starts at its floor, and the server
+    greedily adds the one center that most reduces S / sqrt(R), where S is
+    the sum of the chosen costs and R = N - (sum of center counts), up to
+    each node's cap and keeping at least one sample slot free.  Every
+    candidate leaves the same R - 1, so the best one is the largest cost
+    drop c_j[k_j - 1] - c_j[k_j], ties to the lowest node, and it is taken
+    while (S - drop) / sqrt(R - 1) < S / sqrt(R).  The remaining t = R
+    slots are assigned to nodes by one multinomial draw proportional to the
+    chosen costs.  The floor is 1 and the cap is the ladder's length;
+    ``k_fixed`` sets both to k_fixed, so every node keeps exactly k_fixed
+    centers.  :func:`_center_floor` checks the inputs.
     """
-    costs = [np.asarray(r.local_costs, dtype=float) for r in reports]
+    costs = [[float(c) for c in ladder] for ladder in ladders]
     n = len(costs)
-    floor = _center_floor(N, [c.size for c in costs], k_fixed)
-    caps = [c.size if k_fixed is None else k_fixed for c in costs]
+    floor = _center_floor(N, [len(c) for c in costs], k_fixed)
+    caps = [len(c) if k_fixed is None else k_fixed for c in costs]
     k_alloc = [floor] * n
-
-    def objective(chosen):
-        total_k = sum(chosen)
-        return sum(c[j - 1] for c, j in zip(costs, chosen)) / np.sqrt(N - total_k)
-
-    current = objective(k_alloc)
-    while sum(k_alloc) < N - 1:
-        best_j, best_val = None, current
-        for j in range(n):
-            if k_alloc[j] >= caps[j]:
-                continue
-            k_alloc[j] += 1
-            val = objective(k_alloc)
-            k_alloc[j] -= 1
-            if val < best_val:
-                best_j, best_val = j, val
-        if best_j is None:
+    S, R = sum(c[floor - 1] for c in costs), N - n * floor
+    while R > 1:
+        # a node at its cap offers no step: its -inf drop never passes the test
+        drops = [c[k - 1] - c[k] if k < cap else -math.inf
+                 for c, k, cap in zip(costs, k_alloc, caps)]
+        j = drops.index(max(drops))
+        if not (S - drops[j]) / math.sqrt(R - 1) < S / math.sqrt(R):
             break
-        k_alloc[best_j] += 1
-        current = best_val
+        k_alloc[j] += 1
+        S, R = S - drops[j], R - 1
 
     chosen_costs = np.array([c[j - 1] for c, j in zip(costs, k_alloc)])
     C = float(chosen_costs.sum())
@@ -311,14 +286,13 @@ def drcc(
 
     trace = ProtocolTrace()
     ladders = node_local_centers(shards, K, z=z)
-    reports = []
-    for j, (shard, ladder) in enumerate(zip(shards, ladders)):
-        if ladder.clamped:
+    for j, (shard, runs) in enumerate(zip(shards, ladders)):
+        if K > shard.size:
             trace.notes.append(f"node {j}: ladder clamped to shard size {shard.size}")
-        reports.append(NodeReport(node_id=j, local_costs=ladder.costs))
-        trace.record(f"node{j}", "server", "cost_ladder", scalars=len(ladder.costs))
+        trace.record(f"node{j}", "server", "cost_ladder", scalars=len(runs))
 
-    config = server_allocate(reports, N, seed=server_seed, k_fixed=k_fixed)
+    costs = [[run.cost for run in runs] for runs in ladders]
+    config = server_allocate(costs, N, seed=server_seed, k_fixed=k_fixed)
     if config.total_cost == 0:
         trace.notes.append("all reported costs are zero; no samples drawn")
     for j in range(n):
@@ -326,7 +300,7 @@ def drcc(
 
     points, weights = [], []
     for j, shard in enumerate(shards):
-        run = ladders[j].runs[config.k_alloc[j] - 1]
+        run = ladders[j][config.k_alloc[j] - 1]
         local = node_sample(
             shard,
             run,

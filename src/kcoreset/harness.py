@@ -172,12 +172,14 @@ def quantile_grid(values, grid_points: int = CDF_GRID_POINTS):
 
 
 _SYNTH_KINDS = ("blobs", "uniform")
+# the synthetic spec fields the generators take, by type; ranges are theirs to check
+_SYNTH_INTS = ("n", "features", "labels", "dim", "seed")
+_SYNTH_REALS = ("spread", "low", "high")
 # the constructions that take a coreset size
 _SIZED_KINDS = ("rcc_fixed", "uniform", "sensitivity", "farthest", "drcc", "cdcc")
 
 
 def _load_config_dataset(entry: dict) -> WeightedPointSet:
-    name = entry.get("name", "<unnamed>")
     if "path" in entry:
         pointset = load_dataset(
             entry["path"],
@@ -188,8 +190,7 @@ def _load_config_dataset(entry: dict) -> WeightedPointSet:
             pointset = normalize_features(pointset)
         return pointset
     spec = entry["synthetic"]
-    kind = spec.get("kind")
-    if kind == "blobs":
+    if spec["kind"] == "blobs":
         return synthetic_blobs(
             n=spec.get("n", 150),
             num_features=spec.get("features", 4),
@@ -197,16 +198,29 @@ def _load_config_dataset(entry: dict) -> WeightedPointSet:
             spread=spec.get("spread", 0.08),
             seed=spec.get("seed", 0),
         )
-    if kind == "uniform":
-        return synthetic_uniform(
-            n=spec.get("n", 1000),
-            dim=spec.get("dim", 3),
-            low=spec.get("low", 0.0),
-            high=spec.get("high", 1.0),
-            seed=spec.get("seed", 0),
-        )
-    raise ValidationError(f"dataset {name!r}: unknown synthetic kind {kind!r}; "
-                          f"choose from {_SYNTH_KINDS}")
+    return synthetic_uniform(
+        n=spec.get("n", 1000),
+        dim=spec.get("dim", 3),
+        low=spec.get("low", 0.0),
+        high=spec.get("high", 1.0),
+        seed=spec.get("seed", 0),
+    )
+
+
+def _check_synthetic(index: int, spec: dict) -> None:
+    """Raise ValidationError unless a synthetic spec's kind and field types are valid."""
+    where, kind = f"datasets[{index}].synthetic", spec.get("kind")
+    if kind not in _SYNTH_KINDS:
+        raise ValidationError(f"{where}: unknown kind {kind!r}; choose from {_SYNTH_KINDS}")
+    for key in _SYNTH_INTS:
+        if key in spec and not _is_int(spec[key]):
+            raise ValidationError(f"{where}.{key} must be an integer, got {spec[key]!r}")
+    if spec.get("seed", 0) < 0:
+        raise ValidationError(f"{where}.seed must be >= 0, got {spec['seed']!r}")
+    for key in _SYNTH_REALS:
+        value = spec.get(key, 0.0)
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValidationError(f"{where}.{key} must be a real number, got {value!r}")
 
 
 def _make_problem_from_entry(index: int, entry: dict) -> MLProblem:
@@ -225,6 +239,12 @@ def _kind(algorithm: dict):
     return algorithm.get("kind", algorithm.get("name"))
 
 
+def _required(algorithm: dict, kind: str, key: str):
+    if key not in algorithm:
+        raise ValidationError(f"algorithm kind {kind!r} needs {key!r}")
+    return algorithm[key]
+
+
 def construct_coreset(
     algorithm: dict,
     pointset: WeightedPointSet,
@@ -234,18 +254,20 @@ def construct_coreset(
     """Build a coreset according to an algorithm spec dict.
 
     ``kind`` selects the construction; every kind but ``rcc`` needs a
-    ``size``.  ``rcc`` and ``rcc_fixed`` draw no randomness and ignore
-    ``seed``.  Distributed kinds re-partition the dataset with a seed
-    derived from ``seed``, so every run sees a fresh random distribution of
-    the data over nodes.  Their per-node center count is read from ``K`` or
-    ``k``; it and ``z`` default to the protocol's DEFAULT_CENTERS and
-    DEFAULT_Z.  Every other kind defaults to z = 2.
+    ``size``, ``rcc`` needs ``eps`` and the distributed kinds ``nodes``; a
+    missing one is a ValidationError that names it.  ``rcc`` and
+    ``rcc_fixed`` draw no randomness and ignore ``seed``.  Distributed
+    kinds re-partition the dataset with a seed derived from ``seed``, so
+    every run sees a fresh random distribution of the data over nodes.
+    Their per-node center count is read from ``K`` or ``k``; it and ``z``
+    default to the protocol's DEFAULT_CENTERS and DEFAULT_Z.  Every other
+    kind defaults to z = 2.
     """
     kind = _kind(algorithm)
     z = int(algorithm.get("z", DEFAULT_Z.get(kind, 2)))
     rho = float(algorithm.get("rho", 1.0))
     if kind == "rcc":
-        return rcc(pointset, eps=float(algorithm["eps"]), rho=rho, z=z)
+        return rcc(pointset, eps=float(_required(algorithm, kind, "eps")), rho=rho, z=z)
     if kind in _SIZED_KINDS:
         if size is None:
             raise ValidationError(f"algorithm kind {kind!r} needs a coreset size: set 'sizes'")
@@ -265,7 +287,7 @@ def construct_coreset(
         rng = np.random.default_rng(seed)
         spec = ShardSpec(
             scheme=algorithm.get("scheme", "uniform"),
-            n=int(algorithm["nodes"]),
+            n=int(_required(algorithm, kind, "nodes")),
             n0=algorithm.get("n0"),
             seed=int(rng.integers(2**63)),
         )
@@ -292,17 +314,21 @@ def run_benchmark(config: dict, out_dir: str | None = None):
     clustering runs: the first task that clusters a set pays for the runs
     that every later construction and problem on it shares.  Any
     exception raised in a cell fails that cell's record only.  The config
-    itself is checked first, before any dataset is loaded: ``runs`` is an
-    integer >= 1, ``sizes`` a non-empty list of positive integers or null
-    (null lets the construction pick its size), and every dataset,
-    algorithm and problem entry an object; else ValidationError.
+    itself is checked first, before any dataset is loaded: ``seed`` is an
+    integer >= 0, ``runs`` an integer >= 1, ``sizes`` a non-empty list of
+    positive integers or null (null lets the construction pick its size),
+    every dataset, algorithm and problem entry an object, and every
+    synthetic spec of a known kind with integer and real fields of the
+    generators' types; else ValidationError.  Unknown keys are ignored.
 
     Returns (records, summary); when out_dir is given also writes runs.csv,
     summary.json, cdf.csv and timings.csv there.
     """
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
-    master_seed = int(config.get("seed", 0))
+    master_seed = config.get("seed", 0)
+    if not (_is_int(master_seed) and master_seed >= 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {master_seed!r}")
     runs = config.get("runs", 1)
     if not _positive_int(runs):
         raise ValidationError(f"runs must be an integer >= 1, got {runs!r}")
@@ -322,8 +348,10 @@ def run_benchmark(config: dict, out_dir: str | None = None):
             if not isinstance(entry, dict):
                 raise ValidationError(f"{key}[{i}] must be an object")
     for i, entry in enumerate(config["datasets"]):
-        if "path" not in entry and not isinstance(entry.get("synthetic"), dict):
-            raise ValidationError(f"datasets[{i}] needs a 'path' or a 'synthetic' object")
+        if "path" not in entry:
+            if not isinstance(entry.get("synthetic"), dict):
+                raise ValidationError(f"datasets[{i}] needs a 'path' or a 'synthetic' object")
+            _check_synthetic(i, entry["synthetic"])
 
     names = [entry.get("name", f"dataset{i}") for i, entry in enumerate(config["datasets"])]
     if len(set(names)) != len(names):
@@ -407,8 +435,12 @@ def run_benchmark(config: dict, out_dir: str | None = None):
     return records, summary
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _positive_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
 
 
 def _derived_seed(master: int, key: tuple) -> int:

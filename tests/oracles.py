@@ -139,3 +139,29 @@ def random_instance(seed, n_range=(5, 12), dim_range=(1, 4), weighted=True):
     points = rng.uniform(-2.0, 2.0, size=(n, d))
     weights = rng.uniform(0.5, 3.0, size=n) if weighted else np.ones(n)
     return points, weights
+
+
+def greedy_allocation_oracle(ladders, N, k_fixed=None):
+    """The server's per-node center counts, every candidate step scored from scratch.
+
+    Every node starts at its floor (k_fixed, else 1).  While a sample slot
+    stays free, each one-center step below a node's cap (k_fixed, else its
+    ladder length) is scored as the full sum of the chosen costs over
+    sqrt(N - sum of center counts); the lowest score is taken, ties to the
+    lowest node, if it is lower than the current allocation's score.
+    """
+    floor = 1 if k_fixed is None else k_fixed
+    caps = [len(ladder) if k_fixed is None else k_fixed for ladder in ladders]
+    alloc = [floor] * len(ladders)
+
+    def score(counts):
+        return sum(ladder[k - 1] for ladder, k in zip(ladders, counts)) / np.sqrt(N - sum(counts))
+
+    while sum(alloc) < N - 1:
+        steps = [alloc[:j] + [alloc[j] + 1] + alloc[j + 1:]
+                 for j in range(len(alloc)) if alloc[j] < caps[j]]
+        best = min(steps, key=score, default=None)
+        if best is None or not score(best) < score(alloc):
+            break
+        alloc = best
+    return tuple(alloc)

@@ -15,7 +15,6 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from kcoreset import (
-    NodeReport,
     ShardSpec,
     WeightedPointSet,
     brute_force_optimal,
@@ -249,7 +248,7 @@ def fixed_protocol_instance(K: int):
     ps = synthetic_uniform(500, 3, 0.0, 10.0, seed=11)
     shards = partition_dataset(ps, ShardSpec(scheme="uniform", n=3, seed=5))
     ladders = node_local_centers(shards, K=K, z=1)
-    reports = [NodeReport(j, ladder.costs) for j, ladder in enumerate(ladders)]
+    costs = [[run.cost for run in runs] for runs in ladders]
     model = np.random.default_rng(99).uniform(0.0, 10.0, size=(3, 3))
     point_costs = [
         cdist(shard.points, model).min(axis=1) for shard in shards
@@ -258,7 +257,7 @@ def fixed_protocol_instance(K: int):
         float((shard.weights * costs).sum())
         for shard, costs in zip(shards, point_costs)
     )
-    return ps, shards, ladders, reports, model, point_costs, true_cost
+    return ps, shards, ladders, costs, model, point_costs, true_cost
 
 
 def protocol_estimate(shards, ladders, model, config, run_seed):
@@ -267,7 +266,7 @@ def protocol_estimate(shards, ladders, model, config, run_seed):
     conserved = True
     for j, (shard, ladder) in enumerate(zip(shards, ladders)):
         local = node_sample(
-            shard, ladder.runs[config.k_alloc[j] - 1], config.t_alloc[j], config.c_over_t,
+            shard, ladder[config.k_alloc[j] - 1], config.t_alloc[j], config.c_over_t,
             seed=run_seed * 131 + j,
         )
         conserved &= (
@@ -293,10 +292,10 @@ def test_05_distributed_conservation_and_unbiasedness():
     """
     with criterion(5, "distributed conservation + unbiasedness"):
         started = time.perf_counter()
-        _, shards, ladders, reports, model, _, true_cost = fixed_protocol_instance(K=5)
+        _, shards, ladders, costs, model, _, true_cost = fixed_protocol_instance(K=5)
         estimates = []
         for run in range(1000):
-            config = server_allocate(reports, N=25, seed=run)
+            config = server_allocate(costs, N=25, seed=run)
             estimate, conserved = protocol_estimate(shards, ladders, model, config, run)
             assert conserved, run
             estimates.append(estimate)
@@ -337,13 +336,13 @@ def test_07_error_scales_with_inverse_sqrt_budget():
     fitted slope must lie in [-0.65, -0.35].
     """
     with criterion(7, "error scales like 1/sqrt(sample count)"):
-        _, shards, ladders, reports, model, _, _ = fixed_protocol_instance(K=1)
+        _, shards, ladders, costs, model, _, _ = fixed_protocol_instance(K=1)
         sample_counts = [50, 100, 200, 400]
         spreads = []
         for t in sample_counts:
             estimates = []
             for run in range(200):
-                config = server_allocate(reports, N=t + 3, seed=run, k_fixed=1)
+                config = server_allocate(costs, N=t + 3, seed=run, k_fixed=1)
                 assert config.t == t
                 estimate, conserved = protocol_estimate(
                     shards, ladders, model, config, 7000 + run

@@ -343,7 +343,11 @@ class TestBenchmark:
         ({"datasets": ["u"]}, "datasets[0] must be an object"),
         ({"algorithms": ["uniform"]}, "algorithms[0] must be an object"),
         ({"sizes": "40"}, "sizes must be a non-empty list"),
-    ], ids=["dataset-string", "algorithm-string", "sizes-string"])
+        ({"seed": "x"}, "seed must be an integer >= 0"),
+        ({"datasets": [{"name": "u", "synthetic": {"kind": "uniform", "n": "50"}}]},
+         "datasets[0].synthetic.n must be an integer"),
+    ], ids=["dataset-string", "algorithm-string", "sizes-string", "seed-string",
+            "synthetic-string-n"])
     def test_malformed_config_is_invalid_input(self, runner, tmp_path, change, message):
         config = {
             "datasets": [{"name": "u", "synthetic": {"kind": "uniform", "n": 50}}],

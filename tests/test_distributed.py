@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from kcoreset import clustering
 from kcoreset import (
-    NodeReport,
     ShardSpec,
     ValidationError,
     WeightedPointSet,
@@ -22,6 +23,7 @@ from kcoreset import (
     synthetic_uniform,
 )
 from kcoreset.clustering import _trivial_result
+from oracles import greedy_allocation_oracle
 
 
 def random_set(seed, n=60, d=3):
@@ -46,28 +48,26 @@ class TestLocalLadder:
     @pytest.mark.parametrize("seed", range(6))
     def test_costs_never_increase_with_k(self, z, seed):
         shard = random_set(seed)
-        ladder = node_local_centers([shard], 8, z=z)[0]
-        costs = ladder.costs
+        costs = [run.cost for run in node_local_centers([shard], 8, z=z)[0]]
         assert len(costs) == 8
         assert np.all(np.diff(costs) <= 1e-9 * (1.0 + costs[0]))
 
     def test_clamped_when_budget_exceeds_shard(self):
         shard = random_set(1, n=5)
         ladder = node_local_centers([shard], 9)[0]
-        assert ladder.clamped
-        assert len(ladder.runs) == 5
-        assert ladder.costs[-1] == 0.0
+        assert len(ladder) == 5
+        assert ladder[-1].cost == 0.0
 
     def test_each_rung_has_matching_center_count(self):
         shard = random_set(2)
         ladder = node_local_centers([shard], 5)[0]
-        assert [run.k for run in ladder.runs] == [1, 2, 3, 4, 5]
+        assert [run.k for run in ladder] == [1, 2, 3, 4, 5]
 
     def test_deterministic(self):
         shard = random_set(3)
-        a = node_local_centers([shard], 4)[0].costs
-        b = node_local_centers([shard], 4)[0].costs
-        assert np.array_equal(a, b)
+        a = [run.cost for run in node_local_centers([shard], 4)[0]]
+        b = [run.cost for run in node_local_centers([shard], 4)[0]]
+        assert a == b
 
     def test_invalid_budget(self):
         with pytest.raises(ValidationError):
@@ -85,7 +85,7 @@ class TestLocalLadder:
         # duplicates leave zero-cost clusters that keep their center twice
         shards = mixed_shards()
         ladders = node_local_centers(shards, 9, z=z)
-        assert [ladder.clamped for ladder in ladders] == [False, True, False, False]
+        assert [len(ladder) for ladder in ladders] == [9, 5, 9, 9]
         for shard, ladder in zip(shards, ladders):
             assert_same_ladder(ladder, ladder_of_independent_runs(shard, min(9, shard.size), z))
 
@@ -96,10 +96,9 @@ class TestLocalLadder:
         for batch in ([0, 1], [3, 2, 1, 0], [2, 2, 0], [1, 3]):
             ladders = node_local_centers([shards[j] for j in batch], 9, z=z)
             for j, ladder in zip(batch, ladders):
-                assert_same_ladder(ladder, alone[j].runs)
-                assert ladder.clamped == alone[j].clamped
+                assert_same_ladder(ladder, alone[j])
                 # measured on its own shard, not on a neighbour in the batch
-                for run in ladder.runs:
+                for run in ladder:
                     assert run.cost == pytest.approx(clustering_cost(shards[j], run.centers, z=z))
 
     def test_no_shards_no_ladders(self):
@@ -136,25 +135,18 @@ def ladder_of_independent_runs(shard, K, z):
 
 
 def assert_same_ladder(ladder, runs):
-    assert len(ladder.runs) == len(runs)
-    for got, want in zip(ladder.runs, runs):
+    assert len(ladder) == len(runs)
+    for got, want in zip(ladder, runs):
         assert np.array_equal(got.centers, want.centers)
         assert np.array_equal(got.assignment, want.assignment)
         assert (got.cost, got.iterations, got.converged) == (want.cost, want.iterations, want.converged)
         assert got.cost_history == want.cost_history
 
 
-def reports_from(cost_rows):
-    return [
-        NodeReport(node_id=j, local_costs=np.asarray(row, dtype=float))
-        for j, row in enumerate(cost_rows)
-    ]
-
-
 class TestServerAllocate:
     def test_fixed_counts_pin_every_node(self):
-        reports = reports_from([[9.0, 4.0, 1.0]] * 3)
-        config = server_allocate(reports, N=12, seed=0, k_fixed=2)
+        ladders = [[9.0, 4.0, 1.0]] * 3
+        config = server_allocate(ladders, N=12, seed=0, k_fixed=2)
         assert config.k_alloc == (2, 2, 2)
         assert config.t == 6
         assert sum(config.t_alloc) == 6
@@ -162,13 +154,13 @@ class TestServerAllocate:
         assert config.c_over_t == pytest.approx(2.0)
 
     def test_fixed_counts_validated(self):
-        reports = reports_from([[9.0, 4.0]] * 3)
+        ladders = [[9.0, 4.0]] * 3
         with pytest.raises(ValidationError):
-            server_allocate(reports, N=12, k_fixed=3)  # ladder too short
+            server_allocate(ladders, N=12, k_fixed=3)  # ladder too short
         with pytest.raises(ValidationError):
-            server_allocate(reports, N=6, k_fixed=2)  # no sample slot left
+            server_allocate(ladders, N=6, k_fixed=2)  # no sample slot left
         # an empty ladder cannot host the floor, greedy or fixed
-        empty = [NodeReport(0, np.array([])), NodeReport(1, np.array([3.0, 1.0]))]
+        empty = [[], [3.0, 1.0]]
         for k_fixed in (None, 1):
             with pytest.raises(ValidationError):
                 server_allocate(empty, N=10, k_fixed=k_fixed)
@@ -176,9 +168,8 @@ class TestServerAllocate:
     def test_greedy_improves_on_all_ones(self):
         rng = np.random.default_rng(5)
         rows = np.sort(rng.uniform(1.0, 30.0, size=(4, 6)), axis=1)[:, ::-1]
-        reports = reports_from(rows)
         N = 16
-        config = server_allocate(reports, N=N, seed=1)
+        config = server_allocate(rows, N=N, seed=1)
 
         def objective(alloc):
             chosen = sum(rows[j][alloc[j] - 1] for j in range(4))
@@ -191,37 +182,68 @@ class TestServerAllocate:
 
     def test_gives_more_centers_to_expensive_nodes(self):
         # node 0 is costly and improves a lot from more centers
-        reports = reports_from([
+        ladders = [
             [100.0, 10.0, 1.0, 0.1],
             [0.5, 0.4, 0.3, 0.2],
-        ])
-        config = server_allocate(reports, N=8, seed=0)
+        ]
+        config = server_allocate(ladders, N=8, seed=0)
         assert config.k_alloc[0] > config.k_alloc[1]
 
     def test_ties_go_to_the_lowest_node_id(self):
-        reports = reports_from([[8.0, 1.0], [8.0, 1.0]])
-        config = server_allocate(reports, N=5, seed=0)
-        assert config.k_alloc[0] >= config.k_alloc[1]
+        # the budget leaves room for one step, and both nodes offer the same drop
+        ladders = [[8.0, 1.0], [8.0, 1.0]]
+        config = server_allocate(ladders, N=4, seed=0)
+        assert config.k_alloc == (2, 1)
 
     def test_zero_costs_draw_no_samples(self):
-        reports = reports_from([[0.0, 0.0], [0.0, 0.0]])
-        config = server_allocate(reports, N=8, seed=0)
+        ladders = [[0.0, 0.0], [0.0, 0.0]]
+        config = server_allocate(ladders, N=8, seed=0)
         assert config.total_cost == 0.0
         assert sum(config.t_alloc) == 0
         assert config.c_over_t == 0.0
 
     def test_budget_too_small(self):
-        reports = reports_from([[1.0]] * 4)
+        ladders = [[1.0]] * 4
         with pytest.raises(ValidationError):
-            server_allocate(reports, N=4, seed=0)
+            server_allocate(ladders, N=4, seed=0)
         with pytest.raises(ValidationError):
             server_allocate([], N=4)
 
     def test_multinomial_deterministic_in_seed(self):
-        reports = reports_from([[5.0, 2.0], [3.0, 1.0]])
-        a = server_allocate(reports, N=10, seed=4)
-        b = server_allocate(reports, N=10, seed=4)
+        ladders = [[5.0, 2.0], [3.0, 1.0]]
+        a = server_allocate(ladders, N=10, seed=4)
+        b = server_allocate(ladders, N=10, seed=4)
         assert a == b
+
+
+@st.composite
+def allocation_inputs(draw):
+    """Non-increasing integer cost ladders with ties, a budget, and k_fixed unset or a pin.
+
+    Integer costs keep every sum exact, so the cost-drop rule and the
+    oracle's from-scratch scores rank the steps alike.  With costs whose
+    sums round (3.7 - 2.59 against 22.2 - 21.09) either rule can break a
+    tie of exact values by its own rounding.
+    """
+    n = draw(st.integers(1, 9))
+    ladders = [
+        sorted(draw(st.lists(st.integers(0, 8), min_size=1, max_size=6)), reverse=True)
+        for _ in range(n)
+    ]
+    k_fixed = draw(st.none() | st.integers(1, min(len(ladder) for ladder in ladders)))
+    floor = 1 if k_fixed is None else k_fixed
+    N = draw(st.integers(n * floor + 1, n * floor + 1 + sum(len(ladder) for ladder in ladders)))
+    return [[float(c) for c in ladder] for ladder in ladders], N, k_fixed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inputs=allocation_inputs())
+@example(inputs=([[0.0, 0.0], [0.0]], 5, None))  # zero cost: no step lowers it
+def test_server_allocate_matches_the_from_scratch_oracle(inputs):
+    ladders, N, k_fixed = inputs
+    config = server_allocate(ladders, N, k_fixed=k_fixed)
+    assert config.k_alloc == greedy_allocation_oracle(ladders, N, k_fixed)
+    assert config.t == N - sum(config.k_alloc)
 
 
 class TestNodeSample:
@@ -231,7 +253,7 @@ class TestNodeSample:
         # are: bit for bit those of a fresh nearest-center pass
         shards, _ = make_shards(21, n_points=300, nodes=3)
         for shard, ladder in zip(shards, node_local_centers(shards, 6, z=z)):
-            for run in ladder.runs:
+            for run in ladder:
                 fresh = centers_run(shard, run.centers, z)
                 assert np.array_equal(run.assignment, fresh.assignment)
                 assert np.array_equal(run.distances, fresh.distances)
@@ -335,6 +357,11 @@ class TestDrcc:
         assert via_drcc.provenance == via_cdcc.provenance
         assert via_cdcc.provenance["algorithm"] == "cdcc"
 
+    def test_trace_notes_each_ladder_clamped_to_its_shard(self):
+        _, trace = drcc(mixed_shards(), N=40, K=6, z=1, seed=0)
+        assert [m.scalars for m in trace.messages if m.kind == "cost_ladder"] == [6, 5, 6, 6]
+        assert [n for n in trace.notes if "clamped" in n] == ["node 1: ladder clamped to shard size 5"]
+
     def test_validations(self):
         shards, _ = make_shards(5)
         with pytest.raises(ValidationError):
@@ -385,17 +412,15 @@ class TestDrcc:
         # ladders are fixed; allocation + sampling redrawn each run
         shards, full = make_shards(6, n_points=120)
         ladders = node_local_centers(shards, 3, z=1)
-        reports = [
-            NodeReport(node_id=j, local_costs=l.costs) for j, l in enumerate(ladders)
-        ]
+        costs = [[run.cost for run in runs] for runs in ladders]
         anchors = np.array([[0.3, 0.8, 0.2], [0.7, 0.1, 0.9]])
         truth = float(full.weights @ cdist(full.points, anchors).min(axis=1))
         estimates = []
         for r in range(600):
-            config = server_allocate(reports, N=15, seed=r)
+            config = server_allocate(costs, N=15, seed=r)
             est = 0.0
             for j, shard in enumerate(shards):
-                run = ladders[j].runs[config.k_alloc[j] - 1]
+                run = ladders[j][config.k_alloc[j] - 1]
                 local = node_sample(
                     shard, run, config.t_alloc[j], config.c_over_t,
                     seed=1000 + 7 * r + j,

@@ -450,8 +450,10 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("bad, good, sizes, error", [
         ({"kind": "rcc_fixed"}, {"kind": "rcc", "eps": 2.0}, None, "ValidationError"),
-        ({"kind": "rcc"}, {"kind": "uniform"}, [8], "KeyError: 'eps'"),
-        ({"kind": "drcc"}, {"kind": "uniform"}, [8], "KeyError: 'nodes'"),
+        ({"kind": "rcc"}, {"kind": "uniform"}, [8],
+         "ValidationError: algorithm kind 'rcc' needs 'eps'"),
+        ({"kind": "drcc"}, {"kind": "uniform"}, [8],
+         "ValidationError: algorithm kind 'drcc' needs 'nodes'"),
         ({"kind": "cdcc", "nodes": 3, "K": 2, "k": 2}, {"kind": "uniform"}, [8],
          "ValidationError"),
     ], ids=["rcc_fixed-without-sizes", "rcc-without-eps", "drcc-without-nodes",
@@ -519,6 +521,49 @@ class TestRunBenchmark:
         monkeypatch.setattr(harness, "_load_config_dataset", refuse)
         with pytest.raises(ValidationError, match=next(iter(extra))):
             run_benchmark(tiny_config(**extra))
+
+    @pytest.mark.parametrize("seed", ["x", -1, 1.7, True, None])
+    def test_seed_checked_before_any_work(self, monkeypatch, seed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dataset was loaded before the seed was checked")
+
+        monkeypatch.setattr(harness, "_load_config_dataset", refuse)
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            run_benchmark(tiny_config(seed=seed))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("kind", "grid", "datasets[1].synthetic: unknown kind 'grid'"),
+        ("n", "50", "datasets[1].synthetic.n must be an integer"),
+        ("n", True, "datasets[1].synthetic.n must be an integer"),
+        ("n", 30.5, "datasets[1].synthetic.n must be an integer"),
+        ("features", None, "datasets[1].synthetic.features must be an integer"),
+        ("seed", "a", "datasets[1].synthetic.seed must be an integer"),
+        ("seed", -1, "datasets[1].synthetic.seed must be >= 0"),
+        ("spread", "0.1", "datasets[1].synthetic.spread must be a real number"),
+        ("low", "0", "datasets[1].synthetic.low must be a real number"),
+        ("high", False, "datasets[1].synthetic.high must be a real number"),
+    ], ids=["kind-unknown", "n-string", "n-bool", "n-float", "features-null", "seed-string",
+            "seed-negative", "spread-string", "low-string", "high-bool"])
+    def test_synthetic_specs_checked_before_any_work(self, monkeypatch, field, value, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dataset was loaded before its spec was checked")
+
+        config = tiny_config()
+        spec = {"kind": "uniform", "n": 30, "dim": 2, "low": 0, "high": 2.5, "seed": 3}
+        config["datasets"].append({"name": "u", "synthetic": dict(spec, **{field: value})})
+        monkeypatch.setattr(harness, "_load_config_dataset", refuse)
+        with pytest.raises(ValidationError) as excinfo:
+            run_benchmark(config)
+        assert message in str(excinfo.value)
+
+    def test_synthetic_specs_keep_unknown_keys_and_generator_ranges(self):
+        config = tiny_config(runs=1, workers=2)
+        config["datasets"][0]["synthetic"].update(spread=0.1, note="ignored")
+        records, _ = run_benchmark(config)
+        assert records and all(r.error is None for r in records)
+        config["datasets"][0]["synthetic"]["n"] = 2  # fewer points than labels
+        with pytest.raises(ValidationError, match="one point per label"):
+            run_benchmark(config)
 
     def test_null_sizes_mean_the_construction_picks_its_size(self):
         config = tiny_config(runs=1, algorithms=[{"name": "rcc", "kind": "rcc", "eps": 2.0}],
