@@ -18,16 +18,19 @@ order of a stable sort of the (problem, cluster) key, cast to the smallest
 unsigned type that holds it, so that up to 65,536 keys the sort is a
 radix sort.  The clusters are recentered z=2 by segmented weighted sums,
 z=1 by one Weiszfeld solver that advances every segment's iterate
-together, with the per-row scale of its vertex test measured once per
-Lloyd call.  While a z=1 problem's
-assignment still moves, its pass is capped: at most WEISZFELD_CAPPED_STEPS
-Weiszfeld steps per cluster from the previous center, which never raise
-the cost.  The pass after an unchanged assignment, and pass
-LLOYD_MAX_ITER, are exact: they solve every median to tolerance.  A
-median still unsolved after WEISZFELD_PLAIN_STEPS Weiszfeld steps takes
-Newton steps, each kept only if it does not raise the cost; where one is
-rejected, the Weiszfeld step is taken and Kuhn's test may stop the solve
-on the nearest data point.  A problem has converged when an exact pass leaves its assignment unchanged.
+together; the pass hands it each cluster's row count and each row's scale
+for its vertex test, measured once per Lloyd call.  A solver step sums
+every segment's pull terms and inverse distances with one reduceat, and
+runs each of its stop tests only where that test can fire.  While a z=1
+problem's assignment still moves, its pass is capped: at most
+WEISZFELD_CAPPED_STEPS Weiszfeld steps per cluster from the previous
+center, which never raise the cost.  The pass after an unchanged
+assignment, and pass LLOYD_MAX_ITER, are exact: they solve every median
+to tolerance.  A median still unsolved after WEISZFELD_PLAIN_STEPS
+Weiszfeld steps takes Newton steps, each kept only if it does not raise
+the cost; where one is rejected, the Weiszfeld step is taken and Kuhn's
+test may stop the solve on the nearest data point.  A problem has
+converged when an exact pass leaves its assignment unchanged.
 A problem stops on its own, and its rows drop out.  A single problem is
 the plain k-center run.  The segment solver is also the only 1-center
 code: ``one_center`` is its one-segment call, and ``brute_force_optimal``
@@ -110,7 +113,7 @@ def one_center(pointset: WeightedPointSet, z: int, tol: float = DEFAULT_MEDIAN_T
 
 
 def _segment_centers(cols, weights, starts, z, tol=DEFAULT_MEDIAN_TOL, init=None,
-                     max_steps=WEISZFELD_MAX_ITER, scale=None):
+                     max_steps=WEISZFELD_MAX_ITER, scale=None, sizes=None):
     """1-centers, one per row, of the contiguous row segments that begin at ``starts``.
 
     The rows are given coordinate-major: ``cols`` is (dim, n), row p its
@@ -119,9 +122,9 @@ def _segment_centers(cols, weights, starts, z, tol=DEFAULT_MEDIAN_TOL, init=None
     weighted means; z=1 gives Weiszfeld medians started from ``init`` or
     the means, after at most ``max_steps`` steps (one count, or one per
     segment).  ``scale`` is each row's largest absolute coordinate, which
-    sets how close an iterate must come to a row to sit on it; a Lloyd
-    call computes it once for all its passes, any other caller leaves it
-    to be computed here.
+    sets how close an iterate must come to a row to sit on it, and
+    ``sizes`` each segment's row count; a Lloyd call has both at hand, any
+    other caller leaves them to be computed here.
     """
     if z == 2:
         return _segment_means(cols, weights, starts)
@@ -129,7 +132,9 @@ def _segment_centers(cols, weights, starts, z, tol=DEFAULT_MEDIAN_TOL, init=None
         init = _segment_means(cols, weights, starts)
     if scale is None:
         scale = np.abs(cols).max(axis=0)
-    return _weiszfeld(cols, weights, starts, init, tol, max_steps, scale)
+    if sizes is None:
+        sizes = np.diff(np.append(starts, cols.shape[1]))
+    return _weiszfeld(cols, weights, starts, sizes, init, tol, max_steps, scale)
 
 
 def _segment_means(cols, weights, starts):
@@ -138,7 +143,7 @@ def _segment_means(cols, weights, starts):
     return (sums / np.add.reduceat(weights, starts)).T
 
 
-def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
+def _weiszfeld(cols, weights, starts, sizes, init, tol, max_steps, scale):
     """Weiszfeld iteration on every segment at once.
 
     A segment stops when its rows' pull, the gradient of sum_p w_p*||p - y||,
@@ -153,6 +158,16 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
     finishes.  An iterate sits on a row within 1e-14 * (1 + the segment's
     largest ``scale``), the rows' largest absolute coordinates: a one-row
     segment's first step lands there, and its second stops on the row.
+
+    A step writes each row's pull terms w (p - y) / d, d its distance to the
+    iterate, above its w / d in one (dim + 1, n) buffer and sums both per
+    segment with one reduceat.  The gradient test runs every step; rows on
+    an iterate are sought only once some d is within 1e-14 * (1 + the
+    largest ``scale``), and step limits compared from the first step that
+    reaches one.  The unchanged-iterate test runs on step 1, which may turn
+    a -0.0 of the init into 0.0, and from step min(WEISZFELD_CAPPED_STEPS,
+    WEISZFELD_PLAIN_STEPS) on: in between, a plain step from an unchanged
+    iterate repeats itself bit for bit.
 
     The first WEISZFELD_PLAIN_STEPS steps are plain Weiszfeld steps, so
     capped passes and short solves never see what follows.  After them, a
@@ -171,34 +186,41 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
     Both tests scale ``tol`` by the segment's weight where it is below 1,
     so scaling a light segment's weights does not move its median.
     """
-    sizes = np.diff(np.append(starts, cols.shape[1]))
-    near_dist = np.repeat(1e-14 * (1.0 + np.maximum.reduceat(scale, starts)), sizes)
+    dim = cols.shape[0]
+    near_any, near_seg, seg_starts = 1e-14 * (1.0 + scale.max()), None, starts
     pts, y = cols, np.array(init, dtype=float).T
     out = np.empty_like(y.T)
     live = np.arange(sizes.size)  # row of ``out`` of each segment still iterating
-    limit = np.minimum(np.broadcast_to(max_steps, sizes.shape), WEISZFELD_MAX_ITER)
+    limit = np.minimum(max_steps, WEISZFELD_MAX_ITER)
+    first_cap, first_same = limit.min(), min(WEISZFELD_CAPPED_STEPS, WEISZFELD_PLAIN_STEPS)
     tol = tol * np.minimum(1.0, np.add.reduceat(weights, starts))
+    buf = np.empty((dim + 1, pts.shape[1]))  # per row: the pull terms over w / d
     # once Newton steps start: each segment's cost before the Newton step it
     # took (inf where it took none), the Weiszfeld step it passed up, and
     # the longest Newton step it may take next
     before = passed_up = reach = None
     for step in range(1, WEISZFELD_MAX_ITER + 1):
         newton = step > WEISZFELD_PLAIN_STEPS
-        diff = np.repeat(y, sizes, axis=1)
-        np.subtract(pts, diff, out=diff)
+        diff = buf[:dim]
+        np.subtract(pts, y.repeat(sizes, axis=1), out=diff)
         dist = np.sqrt(np.einsum("ij,ij->j", diff, diff))
         if newton:
             w_dist = weights * dist
             cost = np.add.reduceat(w_dist, starts)
-        near = dist <= near_dist
-        dist[near] = np.inf  # a point on the iterate does not pull
-        inv = weights / dist
-        inv_sum = np.add.reduceat(inv, starts)
-        diff *= inv
-        pull_vec = np.add.reduceat(diff, starts, axis=1)
+        on = dist.min() <= near_any
+        if near_seg is None and (on or newton):
+            near_seg = 1e-14 * (1.0 + np.maximum.reduceat(scale, seg_starts))
+        if on:
+            near = dist <= np.repeat(near_seg[live], sizes)
+            on = near.any()
+            dist[near] = np.inf  # a point on the iterate does not pull
+        np.divide(weights, dist, out=buf[dim])
+        diff *= buf[dim]
+        sums = np.add.reduceat(buf, starts, axis=1)
+        pull_vec, inv_sum = sums[:dim], sums[dim]
         pull = np.sqrt(np.einsum("ij,ij->j", pull_vec, pull_vec))
         stop = pull <= tol  # the gradient test
-        if near.any():
+        if on:
             # the iterate sits on a data point: stop on that point, not on
             # the iterate, which can be an ULP away from it, when the pull of
             # the other points does not exceed its weight; else damp the step
@@ -214,7 +236,8 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
             moving = hit[~pinned]
             pull_vec[:, moving] *= 1.0 - np.minimum(1.0, w_here[~pinned] / pull[moving])
         y_new = y + pull_vec / inv_sum
-        stop |= (y_new == y).all(axis=0)
+        if step == 1 or step >= first_same:  # step 1 may turn an init's -0.0 into 0.0
+            stop |= (y_new == y).all(axis=0)
         if newton:
             if before is None:
                 before, reach = np.full((2, live.size), np.inf)
@@ -223,13 +246,12 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
             y_new[:, back] = passed_up[:, back]
             reach[back] /= 4.0  # half the rejected step's length
             if back.size:
-                vertex, pinned = _nearest_row_test(
-                    pts, weights, near_dist, sizes, back, y_new[:, back], tol[back]
-                )
+                vertex, pinned = _nearest_row_test(pts, weights, np.repeat(near_seg[live], sizes),
+                                                   sizes, back, y_new[:, back], tol[back])
                 stop[back] = pinned
                 y[:, back[pinned]] = vertex[:, pinned]
             take = ~stop & (cost <= before) & (step < limit)
-            if near.any():
+            if on:
                 take[hit] = False
             before[:] = np.inf
             if take.any():
@@ -240,18 +262,21 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
                 reach[take] = 2.0 * length
                 passed_up[:, take] = y_new[:, take]
                 y_new[:, take] = cand
-        capped = ~stop & (limit == step)
-        if stop.any() or capped.any():
-            out[live[stop]] = y[:, stop].T
-            out[live[capped]] = y_new[:, capped].T
-            keep = ~(stop | capped)
-            if not keep.any():
+        done = stop | (limit == step) if step >= first_cap else stop
+        if done.any():
+            # a stopped segment returns its iterate, a capped one its update
+            y_new[:, stop] = y[:, stop]
+            out[live[done]] = y_new[:, done].T
+            if done.all():
                 break
+            keep = ~done
             rows = np.repeat(keep, sizes)
-            pts, weights, near_dist = pts.compress(rows, axis=1), weights[rows], near_dist[rows]
-            sizes, live, limit, tol = sizes[keep], live[keep], limit[keep], tol[keep]
+            pts, weights = pts.compress(rows, axis=1), weights[rows]
+            sizes, live, tol = sizes[keep], live[keep], tol[keep]
+            limit = limit[keep] if limit.ndim else limit
             y_new = y_new[:, keep]
             starts = np.cumsum(sizes) - sizes
+            buf = np.empty((dim + 1, pts.shape[1]))
             if before is not None:
                 before, passed_up, reach = before[keep], passed_up[:, keep], reach[keep]
         y = y_new
@@ -354,20 +379,22 @@ def _cost_and_assignment(points, weights, centers, sizes, z, filled=None):
     expensive row, unless that would raise the problem's cost; only a
     problem whose centers moved is assigned again.
     """
-    c = centers.shape[1]
-    ends = np.cumsum(sizes)
-    bounds = list(zip(ends - sizes, ends))
-    if len(bounds) == 1:
+    if len(sizes) == 1:
+        bounds = [(0, points.shape[0])]
         dist = cdist(centers[0], points)
     else:
-        dist = np.empty((c, points.shape[0]))
+        ends = np.cumsum(sizes)
+        bounds = list(zip(ends - sizes, ends))
+        dist = np.empty((centers.shape[1], points.shape[0]))
         for p, (s, e) in enumerate(bounds):
             dist[:, s:e] = cdist(centers[p], points[s:e])
     near = np.minimum.reduce(dist, axis=0)
     assign = _first_nearest(dist, near)
+    if filled is not None and filled.all():
+        filled = None  # no center to restart
     costs = []
     for p, (s, e) in enumerate(bounds):
-        cost = float(weights[s:e] @ near[s:e]**z)
+        cost = float(weights[s:e] @ (near[s:e] if z == 1 else near[s:e]**z))
         if filled is not None and not filled[p].all():
             cost, moved = _restart(points[s:e], weights[s:e], dist[:, s:e], near[s:e], cost,
                                    centers[p], np.flatnonzero(~filled[p]), z)
@@ -461,11 +488,13 @@ def _lloyd_problems(points, weights, starts, init_centers, z) -> list:
         counts = np.bincount(key, minlength=live.size * c)
         filled = counts > 0
         flat = centers.reshape(-1, dim)
+        sizes_in = counts[filled]  # the rows of each cluster that has any
         steps = np.where(exact, WEISZFELD_MAX_ITER, WEISZFELD_CAPPED_STEPS)
+        steps = steps[0] if live.size == 1 else np.repeat(steps, c)[filled]
         flat[filled] = _segment_centers(
-            cols.take(order, axis=1), weights.take(order), (np.cumsum(counts) - counts)[filled],
-            z, init=flat[filled], max_steps=np.repeat(steps, c)[filled],
-            scale=None if scale is None else scale.take(order),
+            cols.take(order, axis=1), weights.take(order), np.cumsum(sizes_in) - sizes_in,
+            z, init=flat[filled], max_steps=steps,
+            scale=None if scale is None else scale.take(order), sizes=sizes_in,
         )
         costs, new_assign, near = _cost_and_assignment(
             points, weights, centers, sizes, z, filled.reshape(-1, c)

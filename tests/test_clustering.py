@@ -32,6 +32,7 @@ from oracles import (
     one_center_oracle,
     random_instance,
 )
+import reference_weiszfeld
 
 # Oracle outputs for random_instance(7, n_range=(7,7), dim_range=(3,3)),
 # computed once by the reference implementations and frozen.
@@ -770,6 +771,65 @@ class TestLongSolves:
 
 
 @st.composite
+def solver_cases(draw):
+    """Random segment sets for the Weiszfeld solver: one-row segments, heavy
+    and light segments, rows duplicated at the init, per-segment or shared
+    step limits, and inits that are already a solve's answer."""
+    dim = draw(st.integers(1, 4))
+    sizes = np.array(draw(st.lists(st.integers(1, 9), min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset, spread = draw(st.sampled_from([0.0, 1e6])), draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    points = offset + spread * rng.normal(size=(sizes.sum(), dim))
+    segment_weight = draw(st.lists(st.sampled_from([1e-3, 1.0, 1e3]), min_size=sizes.size,
+                                   max_size=sizes.size))
+    weights = rng.uniform(0.5, 2.0, sizes.sum()) * np.repeat(segment_weight, sizes)
+    starts = np.cumsum(sizes) - sizes
+    init = clustering._segment_means(points.T.copy(), weights, starts)
+    for s in draw(st.sets(st.integers(0, sizes.size - 1))):
+        if sizes[s] > 1:  # start on a row that a second row duplicates
+            points[starts[s] + 1] = points[starts[s]]
+            init[s] = points[starts[s]]
+    limits = [1, 2, 3, clustering.WEISZFELD_MAX_ITER]
+    warm = draw(st.booleans())  # solve to tolerance from plain Weiszfeld's answer
+    if warm or draw(st.booleans()):
+        max_steps = clustering.WEISZFELD_MAX_ITER if warm else draw(st.sampled_from(limits))
+    else:
+        max_steps = np.array(draw(st.lists(st.sampled_from(limits), min_size=sizes.size,
+                                           max_size=sizes.size)))
+    return points.T.copy(), weights, starts, sizes, init, max_steps, warm
+
+
+@pytest.mark.parametrize("plain_steps", [0, 2, 30])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=solver_cases())
+# the init is already a fixed point, with a pull above tol: the reference
+# stops on step 1 and returns the init, -0.0 included, where step 1 would
+# have turned it into 0.0
+@example(case=(np.array([[1e6 - 1e-4, 1e6 + 1e-4, 1e6 + 5], [-0.0, -0.0, -0.0]]),
+               np.array([1.0, 1.0, 2e-8]), np.array([0]), np.array([3]),
+               np.array([[1e6, -0.0]]), 3, False))
+def test_solver_matches_the_reference_bit_for_bit(plain_steps, case):
+    # the solver returns, bit for bit, what the reference copy in
+    # reference_weiszfeld returns.  A warm case starts every segment where plain Weiszfeld
+    # steps stopped, often because a step left the iterate unchanged; from
+    # there a Newton step may still move, unless the unchanged test runs first
+    cols, weights, starts, sizes, init, max_steps, warm = case
+    scale = np.abs(cols).max(axis=0)
+    tol, limit = clustering.DEFAULT_MEDIAN_TOL, clustering.WEISZFELD_MAX_ITER
+    with pytest.MonkeyPatch.context() as patch:
+        if warm:
+            patch.setattr(reference_weiszfeld, "WEISZFELD_PLAIN_STEPS", limit)
+            init = reference_weiszfeld._weiszfeld(cols, weights, starts, init, tol, limit, scale)
+        for module in (clustering, reference_weiszfeld):
+            patch.setattr(module, "WEISZFELD_PLAIN_STEPS", plain_steps)
+        want = reference_weiszfeld._weiszfeld(cols, weights, starts, init, tol, max_steps, scale)
+        for handed in (None, sizes):
+            got = clustering._segment_centers(cols, weights, starts, 1, init=init,
+                                              max_steps=max_steps, scale=scale, sizes=handed)
+            assert got.tobytes() == want.tobytes()  # np.array_equal takes -0.0 for 0.0
+
+
+@st.composite
 def assignment_problems(draw):
     """Problems of unequal size on a small grid, each with c centers drawn
     from a few grid points (so centers repeat and rows tie many ways), some
@@ -786,6 +846,22 @@ def assignment_problems(draw):
     centers = np.array([pool[i] for i in picks], dtype=float).reshape(len(sizes), c, dim)
     filled = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m))).reshape(-1, c)
     return points, weights, centers, np.array(sizes), filled
+
+
+def restarted_centers(points, weights, centers, empty, z):
+    """Each center in ``empty``, in turn, moved to the costliest row unless that raises the cost."""
+    centers = centers.copy()
+    cost = weights @ cdist(points, centers).min(axis=1) ** z
+    for i in empty:
+        scores = weights * cdist(points, centers).min(axis=1) ** z
+        if scores.max() <= 0:
+            break
+        moved = centers.copy()
+        moved[i] = points[np.argmax(scores)]
+        moved_cost = weights @ cdist(points, moved).min(axis=1) ** z
+        if moved_cost <= cost:
+            centers, cost = moved, moved_cost
+    return centers
 
 
 def one_dim_case(blocks, centers, filled):
@@ -807,7 +883,9 @@ def one_dim_case(blocks, centers, filled):
 def test_one_reduction_matches_min_then_argmin(z, case):
     # the cost, assignment and distances read off one center-major min and
     # its first-index pass are, bit for bit, a fresh row-major min, argmin
-    # and gather over the distances to the returned centers
+    # and gather over the distances to the returned centers, and those of
+    # one-problem calls; every empty center restarts where that does not
+    # raise its problem's cost
     points, weights, centers, sizes, filled = case
     moved = centers.copy()
     costs, assign, near = clustering._cost_and_assignment(points, weights, moved, sizes, z,
@@ -819,10 +897,16 @@ def test_one_reduction_matches_min_then_argmin(z, case):
         assert costs[p] == float(weights[s:e] @ dist.min(axis=1) ** z)
         assert np.array_equal(assign[s:e], dist.argmin(axis=1))
         assert np.array_equal(near[s:e], dist[np.arange(e - s), assign[s:e]])
-        # only an empty center moves, and only onto a row of its own problem
-        for i in np.flatnonzero((moved[p] != centers[p]).any(axis=1)):
-            assert not filled[p, i]
-            assert (points[s:e] == moved[p, i]).all(axis=1).any()
+        assert np.array_equal(moved[p], restarted_centers(points[s:e], weights[s:e], centers[p],
+                                                          np.flatnonzero(~filled[p]), z))
+        alone = centers[p : p + 1].copy()
+        cost, alone_assign, alone_near = clustering._cost_and_assignment(
+            points[s:e], weights[s:e], alone, sizes[p : p + 1], z, filled[p : p + 1]
+        )
+        assert costs[p] == cost[0]
+        assert np.array_equal(assign[s:e], alone_assign)
+        assert np.array_equal(near[s:e], alone_near)
+        assert np.array_equal(moved[p], alone[0])
 
 
 def test_lloyd_scale_follows_its_rows():
