@@ -39,7 +39,7 @@ each row's distance to its center, as its last pass measured it, so no
 caller measures it again.
 
 Initialization is recursive and draws no randomness: a 2m-center run
-starts from the union of per-cluster 2-center solutions of an m-center run,
+starts from the union of per-cluster 2-center splits of an m-center run,
 and a (2m+1)-center run adds the costliest point against those 2m centers.
 Every run on one point set comes from that set's recursion, which the set
 keeps for as long as it lives: k_clustering, k_clustering_doubled and the
@@ -49,14 +49,16 @@ carry many point sets (the shards of a distributed run): each of its
 levels is then one solver call over all of them.
 The split scores every point once against its center in the m-center run
 (that cluster's 1-center, once the run has converged), sorts the points by
-cluster once, and solves every cluster's 2-center run from {its center, its
-most expensive point} as one problem of a single Lloyd call; a cluster that
-is empty or already at cost 0 keeps its center twice.  This ordering makes
-the reported costs satisfy, by construction,
+cluster once, and runs every cluster's 2-means from {its center, its most
+expensive point} as one problem of a single Lloyd call, at either z: a
+split only seeds the 2m-center run, which solves every median again, so a
+z=1 split takes no Weiszfeld step.  A cluster that is empty, at cost 0, or
+whose split costs more at z=1 than its center alone keeps its center twice.
+This ordering makes the reported costs satisfy, by construction,
 
   * each returned center is a (near-)optimal 1-center of its cluster,
-  * cost(P, 2k centers) <= sum of the per-cluster 2-center costs,
-  * cost(P, 2 centers) <= cost of {1-center of P, most expensive point},
+  * cost(P, 2k) <= sum of the per-cluster split costs <= cost(P, k),
+  * at z=2, cost(P, 2) <= cost of {1-center of P, most expensive point},
 
 which is what the adaptive coreset size search and its gap certificate
 rely on.
@@ -183,8 +185,8 @@ def _weiszfeld(cols, weights, starts, sizes, init, tol, max_steps, scale):
     its next Newton step is at most half as long, and Kuhn's test runs at
     the row nearest that Weiszfeld step: where it holds, the segment stops
     on the row.
-    Both tests scale ``tol`` by the segment's weight where it is below 1,
-    so scaling a light segment's weights does not move its median.
+    Both tests scale ``tol`` by the segment's mean row weight, so scaling a
+    segment's weights does not move its median.
     """
     dim = cols.shape[0]
     near_any, near_seg, seg_starts = 1e-14 * (1.0 + scale.max()), None, starts
@@ -193,7 +195,7 @@ def _weiszfeld(cols, weights, starts, sizes, init, tol, max_steps, scale):
     live = np.arange(sizes.size)  # row of ``out`` of each segment still iterating
     limit = np.minimum(max_steps, WEISZFELD_MAX_ITER)
     first_cap, first_same = limit.min(), min(WEISZFELD_CAPPED_STEPS, WEISZFELD_PLAIN_STEPS)
-    tol = tol * np.minimum(1.0, np.add.reduceat(weights, starts))
+    tol = tol * (np.add.reduceat(weights, starts) / sizes)
     buf = np.empty((dim + 1, pts.shape[1]))  # per row: the pull terms over w / d
     # once Newton steps start: each segment's cost before the Newton step it
     # took (inf where it took none), the Weiszfeld step it passed up, and
@@ -563,7 +565,7 @@ class _Recursion:
     alone.  A single set is the plain case: its runs are element 0, and
     the recursion lives with its set (see _recursion_of).
 
-    The engine draws no randomness: every run, and the 2-center split of its
+    The engine draws no randomness: every run, and the 2-means split of its
     clusters, is fixed by (points, weights, z).  Each is computed once here
     and shared by every k solved through this object, so one recursion
     serves a k-center run, its 2k-center continuation, a whole search over
@@ -581,7 +583,7 @@ class _Recursion:
         self.sets, self.z = [(ps.points, ps.weights) for ps in pointsets], z
         self.largest = max((ps.size for ps in pointsets), default=0)
         self._runs = {}    # k -> every set's min(k, |P|)-center run
-        # k -> every set's split of its k-center run: (2k-center init, per-cluster 2-center costs)
+        # k -> every set's split of its k-center run: (2k-center init, per-cluster split costs)
         self._splits = {}
 
     def run(self, k: int) -> list:
@@ -659,17 +661,18 @@ def _recursion_of(pointset: WeightedPointSet, z: int) -> _Recursion:
 
 
 def _split_init(sets, bases) -> list:
-    """2-center solutions of every cluster of each run; one (centers, costs) pair per run.
+    """2-center splits of every cluster of each run; one (centers, costs) pair per run.
 
     ``bases[i]`` is a run on the set whose (points, weights) are
-    ``sets[i]``.  Each cluster's 2-center run is seeded with {its center in
-    the base run, its most expensive point}:
-    add_costliest_point on the cluster's 1-center run, whose center is the
-    one in the base run (a converged run's center already is its cluster's
-    1-center, so it is not solved again).  The sets' rows are stacked and
-    sorted by cluster, stably, so each cluster of each set is one segment in
-    index order, and the runs of all of them are one _lloyd_problems call;
-    an empty or zero-cost cluster keeps its center twice at cost 0.
+    ``sets[i]``.  Each cluster's split is a 2-means run, at either z, from
+    {its center in the base run, its most expensive point at z}: it only
+    seeds the 2k-center run, which solves every median to tolerance, so a
+    z=1 split takes no Weiszfeld step, and its cost is the z=1 cost at its
+    two centers, summed off the run's distances.  The sets' rows are
+    stacked and sorted by cluster, stably, so each cluster of each set is
+    one segment in index order, and the runs of all of them are one
+    _lloyd_problems call.  An empty or zero-cost cluster, and one whose
+    split costs more than its center alone, keeps it twice at its base cost.
     """
     ks = np.array([base.k for base in bases])
     offsets = np.cumsum(ks) - ks  # each run's first cluster among all runs' clusters
@@ -692,12 +695,19 @@ def _split_init(sets, bases) -> list:
     first = np.where(scores == np.repeat(top, counts), np.arange(n), n)
     costliest = np.minimum.reduceat(first, starts)[split[filled]]
     if split.any():
-        rows = np.repeat(split, counts)
-        sizes = counts[split]
+        rows, sizes = np.repeat(split, counts), counts[split]
+        starts = np.cumsum(sizes) - sizes  # now of the split clusters' rows
         seeds = np.stack([centers[split], points[costliest]], axis=1)
-        runs = _lloyd_problems(points[rows], weights[rows], np.cumsum(sizes) - sizes, seeds, z)
-        init.reshape(n_clusters, 2, -1)[split] = [run.centers for run in runs]
-        split_costs[split] = [run.cost for run in runs]
+        runs = _lloyd_problems(points[rows], weights[rows], starts, seeds, 2)
+        pairs, costs = np.array([run.centers for run in runs]), np.array([run.cost for run in runs])
+        if z == 1:  # the z=1 cost at the 2-means centers, unless the base center costs less
+            near = np.concatenate([run.distances for run in runs])
+            costs = np.add.reduceat(weights[rows] * near, starts)
+            base = np.add.reduceat(scores[rows], starts)
+            worse = costs > base
+            pairs[worse], costs[worse] = centers[split][worse, None], base[worse]
+        init.reshape(n_clusters, 2, -1)[split] = pairs
+        split_costs[split] = costs
     return list(zip(np.split(init, 2 * offsets[1:]), np.split(split_costs, offsets[1:])))
 
 
@@ -730,8 +740,8 @@ def k_clustering(pointset: WeightedPointSet, k: int, z: int = 2) -> ClusteringRe
 class DoubledRun:
     """A k-center run plus the 2k-center run initialized from it.
 
-    ``split_costs[i]`` is the 2-center cost of cluster i of ``base``; by
-    construction ``doubled.cost <= split_costs.sum() <= base.cost``.
+    ``split_costs[i]`` is the cost of cluster i of ``base`` at its 2-means
+    split; by construction ``doubled.cost <= split_costs.sum() <= base.cost``.
     """
 
     base: ClusteringResult
@@ -748,9 +758,9 @@ def k_clustering_doubled(pointset: WeightedPointSet, k: int, z: int = 2) -> Doub
 
     Both runs come from one recursion, so the 2k-center run is
     k_clustering(pointset, min(2*k, |P|), z) exactly, and the k-center run
-    and the per-cluster 2-center costs that the adaptive size search and
-    its gap certificate need are exposed with it.  Both runs are shared and
-    read-only, as k_clustering's are.
+    and the per-cluster costs of its 2-means splits that the adaptive size
+    search and its gap certificate need are exposed with it.  Both runs are
+    shared and read-only, as k_clustering's are.
     """
     return _recursion_of(pointset, z).doubled(k)[0]
 

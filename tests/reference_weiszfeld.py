@@ -6,9 +6,10 @@ one ``reduceat`` and its stop tests were made to run only where they can
 fire.  They are not an independent oracle: they carry the same method and
 the same rounding, so a test may compare the library's solver against them
 bit for bit, which shows that the trimmed solver returns what the old one
-did, not that either is right.  The module constants they read are copied
-from ``kcoreset.clustering`` at import, so a test that monkeypatches one
-there must patch it here too.
+did, not that either is right.  They carry one later rule of the library
+solver: ``tol`` scales by each segment's mean row weight.  The module
+constants they read are copied from ``kcoreset.clustering`` at import, so a
+test that monkeypatches one there must patch it here too.
 """
 
 import numpy as np
@@ -49,8 +50,8 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
     its next Newton step is at most half as long, and Kuhn's test runs at
     the row nearest that Weiszfeld step: where it holds, the segment stops
     on the row.
-    Both tests scale ``tol`` by the segment's weight where it is below 1,
-    so scaling a light segment's weights does not move its median.
+    Both tests scale ``tol`` by the segment's mean row weight, so scaling a
+    segment's weights does not move its median.
     """
     sizes = np.diff(np.append(starts, cols.shape[1]))
     near_dist = np.repeat(1e-14 * (1.0 + np.maximum.reduceat(scale, starts)), sizes)
@@ -58,7 +59,7 @@ def _weiszfeld(cols, weights, starts, init, tol, max_steps, scale):
     out = np.empty_like(y.T)
     live = np.arange(sizes.size)  # row of ``out`` of each segment still iterating
     limit = np.minimum(np.broadcast_to(max_steps, sizes.shape), WEISZFELD_MAX_ITER)
-    tol = tol * np.minimum(1.0, np.add.reduceat(weights, starts))
+    tol = tol * (np.add.reduceat(weights, starts) / sizes)
     # once Newton steps start: each segment's cost before the Newton step it
     # took (inf where it took none), the Weiszfeld step it passed up, and
     # the longest Newton step it may take next

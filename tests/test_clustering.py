@@ -349,6 +349,32 @@ def test_one_median_cost_scales_with_the_weights(data, exponent):
     assert scaled == pytest.approx(cost, rel=1e-6)
 
 
+def split_cost_at_z1(part, one):
+    """A cluster's z=1 split cost: the z=1 cost of a 2-means run from {its
+    center, its first costliest row by w*d}, or its cost in ``one``, its
+    1-center run, where that is lower and the split is not taken."""
+    scores = part.weights * one.distances
+    if scores.max() == 0.0:
+        return 0.0
+    seeds = np.vstack([one.centers, part.points[np.argmax(scores)]])
+    pair = clustering._lloyd(part.points, part.weights, seeds, 2).centers
+    return min(clustering_cost(part, pair, 1), one.cost)
+
+
+@pytest.mark.parametrize("scale", [1e6, 2.0**20])
+def test_heavy_weights_take_the_passes_and_cost_of_unit_weights(scale):
+    # Weiszfeld's stop tests scale with a segment's mean row weight, so a
+    # run on much heavier rows stops where the unit-weight run does
+    u = synthetic_uniform(2000, 5, 0.0, 1.0, seed=3)
+    unit = k_clustering(u, 8, z=1)
+    heavy = k_clustering(WeightedPointSet(u.points, scale * u.weights), 8, z=1)
+    assert heavy.iterations == unit.iterations
+    assert heavy.cost / scale == pytest.approx(unit.cost, rel=1e-9)
+    if scale == 2.0**20:  # a power of two scales every rounding exactly
+        assert np.array_equal(heavy.centers, unit.centers)
+        assert heavy.cost == scale * unit.cost
+
+
 class TestDoubledRun:
     """Runs and their 2k-center continuations.
 
@@ -385,7 +411,8 @@ class TestDoubledRun:
     @pytest.mark.parametrize("z", [1, 2])
     def test_split_costs_match_growing_each_clusters_one_center_run(self, z):
         # reference: add_costliest_point on the 1-center run of each cluster
-        # at its center in the base run; an empty cluster's split costs 0
+        # at its center in the base run, a 2-means run at z=1 (see
+        # split_cost_at_z1); an empty cluster's split costs 0
         rng = np.random.default_rng(17)
         grids = [
             as_set(rng.integers(0, side, size=(40, 2)), rng.integers(1, 4, size=40))
@@ -413,9 +440,13 @@ class TestDoubledRun:
                         cost=clustering_cost(part, center, z), z=z,
                         iterations=0, converged=True,
                     )
-                    expected = add_costliest_point(part, one).cost
+                    if z == 2:
+                        expected = add_costliest_point(part, one).cost
+                        assert run.split_costs[i] == expected
+                    else:
+                        expected = split_cost_at_z1(part, one)
+                        assert run.split_costs[i] == pytest.approx(expected, rel=1e-12)
                     seen_zero += expected == 0.0
-                    assert run.split_costs[i] == expected
         assert seen_empty and seen_zero
 
     @pytest.mark.parametrize("max_iter", [1, 2])
@@ -425,6 +456,71 @@ class TestDoubledRun:
         # own convergence or its own pass cap, as its one-problem run does
         monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", max_iter)
         self.test_split_costs_match_growing_each_clusters_one_center_run(z)
+
+    def test_a_split_costlier_than_its_cluster_keeps_its_center_twice(self):
+        # the median sits on the heavy row at 0; 2-means splits off the
+        # costliest row at -1 and pulls the other center to the mean 1/3 of
+        # the rows at 0 and 1, which costs more at z=1 than the median alone
+        ps = as_set([[-1.0], [0.0]] + [[1.0]] * 50, [1.01, 100.0] + [1.0] * 50)
+        run = k_clustering_doubled(ps, 1, z=1)
+        assert np.array_equal(run.base.centers, [[0.0]])
+        pair = clustering._lloyd(ps.points, ps.weights, [[0.0], [-1.0]], 2).centers
+        assert clustering_cost(ps, pair, 1) > run.base.cost
+        assert run.split_costs[0] == pytest.approx(run.base.cost, rel=1e-12)
+        init, split_costs = clustering._recursion_of(ps, 1)._split(1)[0]
+        assert np.array_equal(init, [[0.0], [0.0]])
+        assert split_costs is run.split_costs
+        assert run.doubled.cost <= run.split_costs.sum()
+
+    def test_a_z1_split_level_makes_no_weiszfeld_call(self, monkeypatch):
+        calls = []
+
+        def counting_weiszfeld(*args):
+            calls.append(args)
+            return weiszfeld(*args)
+
+        weiszfeld = clustering._weiszfeld
+        monkeypatch.setattr(clustering, "_weiszfeld", counting_weiszfeld)
+        ps = synthetic_blobs(300, 3, 4, seed=3)
+        bases = [k_clustering(ps, 4, z=1)]
+        assert calls  # the patch reaches the z=1 rungs
+        calls.clear()
+        (init, split_costs), = clustering._split_init([(ps.points, ps.weights)], bases)
+        assert not calls
+        assert init.shape == (8, ps.dim) and 0.0 < split_costs.sum() < bases[0].cost
+
+
+@st.composite
+def split_sets(draw):
+    """Two weighted sets for one split level: grid rows that often coincide,
+    a block of identical rows far off (a zero-cost cluster) and one row
+    farther off (a one-row cluster), with weights from 1e-3 to 1e3."""
+    dim = draw(st.integers(1, 3))
+    sets = []
+    for _ in range(2):
+        coords = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        base = draw(st.lists(coords, min_size=2, max_size=10))
+        repeats = draw(st.lists(st.integers(0, len(base) - 1), max_size=4))
+        block = [[-50] * dim] * draw(st.integers(0, 3))
+        rows = base + [base[i] for i in repeats] + block + [[100] * dim]
+        exponents = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(rows), max_size=len(rows)))
+        sets.append(as_set(rows, 10.0 ** np.array(exponents)))
+    return sets
+
+
+@pytest.mark.parametrize("z", [1, 2])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(sets=split_sets(), k=st.integers(1, 4))
+def test_split_sandwich_and_multi_set_split_equals_solo(z, sets, k):
+    together = clustering._Recursion(sets, z)
+    for ps, run, split in zip(sets, together.doubled(k), together._split(k)):
+        slack = (1e-9 if z == 2 else 1e-6) * (1.0 + run.base.cost)
+        assert run.doubled.cost <= run.split_costs.sum() + slack
+        assert run.split_costs.sum() <= run.base.cost + slack
+        alone = clustering._Recursion([fresh_copy(ps)], z)
+        (init, split_costs), = alone._split(k)
+        assert np.array_equal(split[0], init)
+        assert np.array_equal(split[1], split_costs)
 
 
 class TestSharedRuns:
