@@ -52,13 +52,14 @@ The split scores every point once against its center in the m-center run
 cluster once, and runs every cluster's 2-means from {its center, its most
 expensive point} as one problem of a single Lloyd call, at either z: a
 split only seeds the 2m-center run, which solves every median again, so a
-z=1 split takes no Weiszfeld step.  A cluster that is empty, at cost 0, or
-whose split costs more at z=1 than its center alone keeps its center twice.
+z=1 split takes no Weiszfeld step; where its z=1 cost exceeds its seeds',
+it keeps the seeds.  An empty or zero-cost cluster keeps its center twice.
 This ordering makes the reported costs satisfy, by construction,
 
   * each returned center is a (near-)optimal 1-center of its cluster,
-  * cost(P, 2k) <= sum of the per-cluster split costs <= cost(P, k),
-  * at z=2, cost(P, 2) <= cost of {1-center of P, most expensive point},
+  * cost(P, 2k) <= sum of the per-cluster split costs,
+  * a split costs at most its cluster's cost less its costliest point's,
+  * cost(P, 2) <= cost of {1-center of P, most expensive point},
 
 which is what the adaptive coreset size search and its gap certificate
 rely on.
@@ -665,14 +666,14 @@ def _split_init(sets, bases) -> list:
 
     ``bases[i]`` is a run on the set whose (points, weights) are
     ``sets[i]``.  Each cluster's split is a 2-means run, at either z, from
-    {its center in the base run, its most expensive point at z}: it only
-    seeds the 2k-center run, which solves every median to tolerance, so a
-    z=1 split takes no Weiszfeld step, and its cost is the z=1 cost at its
-    two centers, summed off the run's distances.  The sets' rows are
-    stacked and sorted by cluster, stably, so each cluster of each set is
-    one segment in index order, and the runs of all of them are one
-    _lloyd_problems call.  An empty or zero-cost cluster, and one whose
-    split costs more than its center alone, keeps it twice at its base cost.
+    {its center in the base run, its costliest point}: it only seeds the
+    2k-center run, which solves every median, so a z=1 split takes no
+    Weiszfeld step.  A z=1 split costs its z=1 cost at its centers or, where
+    lower, at its seeds, which it then keeps: never more than its cluster's
+    cost less the costliest point's.  The sets' rows are stacked and sorted
+    by cluster, stably, so each cluster of each set is one segment in index
+    order, and the runs of all of them are one _lloyd_problems call; an
+    empty or zero-cost cluster keeps its center twice at cost 0.
     """
     ks = np.array([base.k for base in bases])
     offsets = np.cumsum(ks) - ks  # each run's first cluster among all runs' clusters
@@ -691,21 +692,20 @@ def _split_init(sets, bases) -> list:
     top = np.zeros(n_clusters)
     top[filled] = np.maximum.reduceat(scores, starts)
     split = top > 0
-    n = scores.size
-    first = np.where(scores == np.repeat(top, counts), np.arange(n), n)
+    first = np.where(scores == np.repeat(top, counts), np.arange(scores.size), scores.size)
     costliest = np.minimum.reduceat(first, starts)[split[filled]]
     if split.any():
         rows, sizes = np.repeat(split, counts), counts[split]
-        starts = np.cumsum(sizes) - sizes  # now of the split clusters' rows
+        part, w, starts = points[rows], weights[rows], np.cumsum(sizes) - sizes  # of split rows
         seeds = np.stack([centers[split], points[costliest]], axis=1)
-        runs = _lloyd_problems(points[rows], weights[rows], starts, seeds, 2)
+        runs = _lloyd_problems(part, w, starts, seeds, 2)
         pairs, costs = np.array([run.centers for run in runs]), np.array([run.cost for run in runs])
-        if z == 1:  # the z=1 cost at the 2-means centers, unless the base center costs less
-            near = np.concatenate([run.distances for run in runs])
-            costs = np.add.reduceat(weights[rows] * near, starts)
-            base = np.add.reduceat(scores[rows], starts)
-            worse = costs > base
-            pairs[worse], costs[worse] = centers[split][worse, None], base[worse]
+        if z == 1:  # the z=1 cost at the 2-means centers, or at the seeds where that is lower
+            costs = np.add.reduceat(w * np.concatenate([run.distances for run in runs]), starts)
+            to_top = np.linalg.norm(part - np.repeat(points[costliest], sizes, axis=0), axis=1)
+            seeded = np.add.reduceat(np.minimum(scores[rows], w * to_top), starts)
+            worse = costs > seeded
+            pairs[worse], costs[worse] = seeds[worse], seeded[worse]
         init.reshape(n_clusters, 2, -1)[split] = pairs
         split_costs[split] = costs
     return list(zip(np.split(init, 2 * offsets[1:]), np.split(split_costs, offsets[1:])))
@@ -740,8 +740,8 @@ def k_clustering(pointset: WeightedPointSet, k: int, z: int = 2) -> ClusteringRe
 class DoubledRun:
     """A k-center run plus the 2k-center run initialized from it.
 
-    ``split_costs[i]`` is the cost of cluster i of ``base`` at its 2-means
-    split; by construction ``doubled.cost <= split_costs.sum() <= base.cost``.
+    ``split_costs[i]`` is cluster i's split cost, at most its cost less its
+    costliest point's; so ``doubled.cost <= split_costs.sum() <= base.cost``.
     """
 
     base: ClusteringResult

@@ -350,15 +350,26 @@ def test_one_median_cost_scales_with_the_weights(data, exponent):
 
 
 def split_cost_at_z1(part, one):
-    """A cluster's z=1 split cost: the z=1 cost of a 2-means run from {its
-    center, its first costliest row by w*d}, or its cost in ``one``, its
-    1-center run, where that is lower and the split is not taken."""
+    """A cluster's z=1 split cost: the z=1 cost of a 2-means run from its
+    seeds {its center in ``one``, its 1-center run, and its first costliest
+    row by w*d}, or the seeds' z=1 cost where that is lower."""
     scores = part.weights * one.distances
     if scores.max() == 0.0:
         return 0.0
     seeds = np.vstack([one.centers, part.points[np.argmax(scores)]])
     pair = clustering._lloyd(part.points, part.weights, seeds, 2).centers
-    return min(clustering_cost(part, pair, 1), one.cost)
+    return min(clustering_cost(part, pair, 1), clustering_cost(part, seeds, 1))
+
+
+def split_bound(ps, run):
+    """Each cluster of ``run.base`` on ``ps``: its cost and its costliest
+    point's, and the slack that rounding may add to a cost."""
+    base = run.base
+    scores = ps.weights * base.distances**base.z
+    cost = np.bincount(base.assignment, scores, minlength=base.k)
+    top = np.zeros(base.k)
+    np.maximum.at(top, base.assignment, scores)
+    return cost, top, (1e-9 if base.z == 2 else 1e-6) * (1.0 + base.cost)
 
 
 @pytest.mark.parametrize("scale", [1e6, 2.0**20])
@@ -386,13 +397,16 @@ class TestDoubledRun:
     @pytest.mark.parametrize("z", [1, 2])
     @pytest.mark.parametrize("seed", range(10))
     def test_gap_nonnegative_and_split_sandwich(self, z, seed):
+        # the gap certificate needs more than the sandwich: each split costs
+        # at most its cluster less its costliest point, so gap >= that point
         ps = as_set(*random_instance(300 + seed, n_range=(12, 60)))
         k = 1 + seed % 4
         run = k_clustering_doubled(ps, k, z=z)
-        slack = 1e-9 * (1.0 + run.base.cost) if z == 2 else 1e-6 * (1.0 + run.base.cost)
+        cost, top, slack = split_bound(ps, run)
         assert run.doubled.cost <= run.split_costs.sum() + slack
         assert run.split_costs.sum() <= run.base.cost + slack
-        assert run.gap >= -slack
+        assert np.all(run.split_costs <= cost - top + slack)
+        assert run.gap >= top.max() - slack
 
     def test_matches_plain_run_of_double_size(self):
         ps = as_set(*random_instance(41, n_range=(30, 30)))
@@ -457,18 +471,20 @@ class TestDoubledRun:
         monkeypatch.setattr(clustering, "LLOYD_MAX_ITER", max_iter)
         self.test_split_costs_match_growing_each_clusters_one_center_run(z)
 
-    def test_a_split_costlier_than_its_cluster_keeps_its_center_twice(self):
+    def test_a_split_costlier_than_its_seeds_keeps_the_seeds(self):
         # the median sits on the heavy row at 0; 2-means splits off the
         # costliest row at -1 and pulls the other center to the mean 1/3 of
-        # the rows at 0 and 1, which costs more at z=1 than the median alone
+        # the rows at 0 and 1, which costs more at z=1 than the seeds, and
+        # even more than the median alone
         ps = as_set([[-1.0], [0.0]] + [[1.0]] * 50, [1.01, 100.0] + [1.0] * 50)
         run = k_clustering_doubled(ps, 1, z=1)
         assert np.array_equal(run.base.centers, [[0.0]])
-        pair = clustering._lloyd(ps.points, ps.weights, [[0.0], [-1.0]], 2).centers
+        seeds = np.array([[0.0], [-1.0]])
+        pair = clustering._lloyd(ps.points, ps.weights, seeds, 2).centers
         assert clustering_cost(ps, pair, 1) > run.base.cost
-        assert run.split_costs[0] == pytest.approx(run.base.cost, rel=1e-12)
+        assert run.split_costs[0] == clustering_cost(ps, seeds, 1) == 50.0
         init, split_costs = clustering._recursion_of(ps, 1)._split(1)[0]
-        assert np.array_equal(init, [[0.0], [0.0]])
+        assert np.array_equal(init, seeds)
         assert split_costs is run.split_costs
         assert run.doubled.cost <= run.split_costs.sum()
 
@@ -517,6 +533,8 @@ def test_split_sandwich_and_multi_set_split_equals_solo(z, sets, k):
         slack = (1e-9 if z == 2 else 1e-6) * (1.0 + run.base.cost)
         assert run.doubled.cost <= run.split_costs.sum() + slack
         assert run.split_costs.sum() <= run.base.cost + slack
+        cost, top, _ = split_bound(ps, run)
+        assert np.all(run.split_costs <= cost - top + slack)
         alone = clustering._Recursion([fresh_copy(ps)], z)
         (init, split_costs), = alone._split(k)
         assert np.array_equal(split[0], init)
